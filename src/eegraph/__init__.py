@@ -43,7 +43,13 @@ from .errors import (
     LayoutError,
 )
 from .eval import EvalReport, activation_map, evaluate, run_protocol, top_k_connections
-from .gradients import class_backward, domain_backward, grad_check, model_grad_check
+from .gradients import (
+    class_backward,
+    domain_backward,
+    grad_check,
+    model_grad_check,
+    step_directions,
+)
 from .graph import SymmetricAdjacency, degree, normalized_propagator, propagate
 from .losses import (
     LossBreakdown,
@@ -79,6 +85,6 @@ __all__ = [
     "normalized_propagator", "pairwise_distances", "predict", "predict_proba",
     "propagate", "resample_target", "ring_layout", "run_protocol",
     "save_checkpoint", "save_dataset", "seed3_distribution", "seed4_distribution",
-    "sparsity_fraction", "split_loso", "split_subject_dependent", "synthesize",
-    "top_k_connections", "train",
+    "sparsity_fraction", "split_loso", "split_subject_dependent",
+    "step_directions", "synthesize", "top_k_connections", "train",
 ]

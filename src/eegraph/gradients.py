@@ -2,7 +2,12 @@
 finite-difference checker that keeps them honest.
 
 The computation graph never changes shape, so each adjoint is written out
-by hand instead of taping operations. Subgradients at the ReLU and
+by hand instead of taping operations. The classifier and the domain head
+reach the shared parameters through the same propagation chain, so a
+training step combines their gradients at the propagated features z and
+runs one backward through the chain (`step_directions`), built from
+GEMMs only. `class_backward` and `domain_backward` give each objective's
+own gradient through that same backward. Subgradients at the ReLU and
 absolute-value kinks are taken as 0. Everything runs in float64.
 """
 from __future__ import annotations
@@ -18,45 +23,88 @@ from .model import DomainTrace, ForwardTrace, domain_forward, forward, sample_dr
 from .params import GradientSet, ModelConfig, ParamSet
 
 
-def _propagation_backward(
+def _wide(blocks: list[np.ndarray], n: int) -> np.ndarray:
+    """Lay (rows, n, d) blocks side by side as one (n, total_rows * d) matrix."""
+    return np.concatenate([block.transpose(1, 0, 2) for block in blocks], axis=1).reshape(n, -1)
+
+
+def _shared_backward(
     cfg: ModelConfig,
-    trace: ForwardTrace,
-    g_z: np.ndarray,
+    params: ParamSet,
+    rows: list[tuple[ForwardTrace, np.ndarray]],
+    alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push a gradient at the propagated features back to (w_feat, S).
+    """Push gradients at z back to the shared parameters (packed adj, w_feat).
 
-    Walks the hop chain in reverse: each hop contributes an outer product
-    to the propagator gradient and routes the rest through S transposed.
+    `rows` pairs each forward trace with the gradient at its propagated
+    features z. Every block shares S and w_feat, so the blocks are laid out
+    as (n, rows * hidden) matrices: each hop costs one GEMM for the
+    propagator gradient and one for the chain, and the normalization
+    adjoint runs once for all of them. Adds the L1 subgradient of weight
+    alpha. The traces must come from a forward pass on `params`.
     """
-    g_h = g_z
-    g_prop = np.zeros_like(trace.prop)
+    n = cfg.n_channels
+    traces = [trace for trace, _ in rows]
+    prop = traces[0].prop
+    g_h = _wide([g_z for _, g_z in rows], n)
+    g_prop = np.zeros_like(prop)
     for hop in range(cfg.steps, 0, -1):
-        g_prop += np.einsum("bij,bkj->ik", g_h, trace.hidden[hop - 1])
-        g_h = np.matmul(trace.prop.T, g_h)
-    g_w_feat = np.einsum("bni,bnj->ij", trace.x, g_h)
-    return g_w_feat, g_prop
+        g_prop += g_h @ _wide([trace.hidden[hop - 1] for trace in traces], n).T
+        g_h = prop.T @ g_h
+    x = _wide([trace.x for trace in traces], n)
+    g_w_feat = x.reshape(-1, cfg.in_dim).T @ g_h.reshape(-1, cfg.hidden_dim)
 
-
-def _propagator_to_adjacency(adj: SymmetricAdjacency, g_prop: np.ndarray) -> np.ndarray:
-    """Adjoint of S = D^(-1/2) A D^(-1/2) with D from |A|, packed.
-
-    Each matrix entry feeds S directly and also through its own row's
-    degree; the degree path carries the sign of the entry because degrees
-    sum absolute values.
-    """
-    full = adj.full()
+    # Adjoint of S = D^(-1/2) A D^(-1/2) with D from |A|: each matrix entry
+    # feeds S directly and also through its own row's degree; the degree
+    # path carries the sign of the entry because degrees sum absolute values.
+    full = params.adj.full()
     deg = np.abs(full).sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    prop = full * inv_sqrt[:, None] * inv_sqrt[None, :]
     gs = g_prop * prop
     g_deg = -(gs.sum(axis=1) + gs.sum(axis=0)) / (2.0 * deg)
     g_full = g_prop * inv_sqrt[:, None] * inv_sqrt[None, :] + np.sign(full) * g_deg[:, None]
-    return fold_full_gradient(g_full)
+    g_adj = fold_full_gradient(g_full) + fold_full_gradient(alpha * np.sign(full))
+    return g_adj, g_w_feat
 
 
 def l1_subgradient(adj: SymmetricAdjacency, alpha: float) -> np.ndarray:
     """Packed subgradient of the full-matrix absolute sum, 0 at 0."""
     return fold_full_gradient(alpha * np.sign(adj.full()))
+
+
+def _class_head_backward(
+    params: ParamSet, trace: ForwardTrace, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classifier-head gradient and the summed KL's gradient at z."""
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != trace.probs.shape:
+        raise ConfigError(f"targets shape {targets.shape} != probs {trace.probs.shape}")
+    g_logits = trace.probs - targets
+    g_w_class = trace.pooled_drop.T @ g_logits
+    g_pooled = g_logits @ params.w_class.T
+    if trace.mask is not None:
+        g_pooled = g_pooled * trace.mask * trace.keep_scale
+    # sum pooling hands every node the pooled gradient; the ReLU gates it
+    return g_w_class, np.where(trace.z > 0.0, g_pooled[:, None, :], 0.0)
+
+
+def _domain_head_backward(
+    params: ParamSet, trace: ForwardTrace, dom: DomainTrace, domain_index: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Domain-head gradient and the discrimination loss's gradient at z."""
+    g_dlogits = dom.probs.copy()
+    g_dlogits[..., domain_index] -= 1.0
+    hidden = params.w_dom.shape[0]
+    g_w_dom = dom.inputs.reshape(-1, hidden).T @ g_dlogits.reshape(-1, 2)
+    g_inputs = g_dlogits @ params.w_dom.T
+    if dom.level == "graph":
+        g_inputs = g_inputs[:, None, :]
+    return g_w_dom, np.where(trace.z > 0.0, g_inputs, 0.0)
+
+
+def _require_domain_head(params: ParamSet) -> None:
+    if params.w_dom is None:
+        raise ConfigError("domain gradients requested without a domain head")
 
 
 def class_backward(
@@ -71,26 +119,9 @@ def class_backward(
     Touches the adjacency, the feature transform, and the classifier head;
     the domain head slot stays None.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.shape != trace.probs.shape:
-        raise ConfigError(f"targets shape {targets.shape} != probs {trace.probs.shape}")
-    g_logits = trace.probs - targets
-    g_w_class = trace.pooled_drop.T @ g_logits
-    g_pooled = g_logits @ params.w_class.T
-    if trace.mask is not None:
-        g_pooled = g_pooled * trace.mask * trace.keep_scale
-    g_relu = np.broadcast_to(g_pooled[:, None, :], trace.relu_z.shape)
-    g_z = np.where(trace.z > 0.0, g_relu, 0.0)
-    g_w_feat, g_prop = _propagation_backward(cfg, trace, g_z)
-    g_adj = _propagator_to_adjacency(params.adj, g_prop)
-    g_adj += l1_subgradient(params.adj, alpha)
+    g_w_class, g_z = _class_head_backward(params, trace, targets)
+    g_adj, g_w_feat = _shared_backward(cfg, params, [(trace, g_z)], alpha)
     return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=None)
-
-
-def _domain_logit_grad(dom: DomainTrace, domain_index: int) -> np.ndarray:
-    g = dom.probs.copy()
-    g[..., domain_index] -= 1.0
-    return g
 
 
 def domain_backward(
@@ -102,34 +133,59 @@ def domain_backward(
     """Gradient of the source/target discrimination loss.
 
     Both domains share the adjacency and feature transform, so their
-    propagator gradients accumulate before the normalization adjoint runs
-    once. The classifier head is untouched (zeros).
+    gradients at z go through one shared backward. The classifier head is
+    untouched (zeros).
     """
-    if params.w_dom is None:
-        raise ConfigError("domain gradients requested without a domain head")
-    g_w_dom = np.zeros_like(params.w_dom)
-    g_w_feat = np.zeros_like(params.w_feat)
-    g_prop = None
-    for (trace, dom), domain_index in ((source, 0), (target, 1)):
-        g_dlogits = _domain_logit_grad(dom, domain_index)
-        if dom.level == "node":
-            g_w_dom += np.einsum("bnh,bnk->hk", trace.relu_z, g_dlogits)
-            g_relu = g_dlogits @ params.w_dom.T
-        else:
-            g_w_dom += trace.pooled.T @ g_dlogits
-            g_pooled = g_dlogits @ params.w_dom.T
-            g_relu = np.broadcast_to(g_pooled[:, None, :], trace.relu_z.shape)
-        g_z = np.where(trace.z > 0.0, g_relu, 0.0)
-        gw, gp = _propagation_backward(cfg, trace, g_z)
-        g_w_feat += gw
-        g_prop = gp if g_prop is None else g_prop + gp
-    g_adj = _propagator_to_adjacency(params.adj, g_prop)
+    _require_domain_head(params)
+    g_w_dom_src, g_z_src = _domain_head_backward(params, *source, 0)
+    g_w_dom_tgt, g_z_tgt = _domain_head_backward(params, *target, 1)
+    g_adj, g_w_feat = _shared_backward(
+        cfg, params, [(source[0], g_z_src), (target[0], g_z_tgt)], 0.0
+    )
     return GradientSet(
         adj=g_adj,
         w_feat=g_w_feat,
         w_class=np.zeros_like(params.w_class),
-        w_dom=g_w_dom,
+        w_dom=g_w_dom_src + g_w_dom_tgt,
     )
+
+
+def step_directions(
+    cfg: ModelConfig,
+    params: ParamSet,
+    trace: ForwardTrace,
+    targets: np.ndarray,
+    alpha: float,
+    domain: tuple[DomainTrace, ForwardTrace, DomainTrace] | None = None,
+    beta: float = 0.0,
+) -> GradientSet:
+    """Per-parameter update directions of one training step.
+
+    The classifier head follows the classification objective (KL plus
+    L1) and the domain head descends its own loss. The shared parameters
+    follow the classification gradient minus beta times the domain
+    gradient (the reversal); both reach them through the same propagation
+    chain, so the two are combined at z (source rows: class minus beta
+    times domain; target rows: minus beta times domain) and pushed back
+    in one shared backward. `domain` is (source domain trace, target
+    forward trace, target domain trace), or None with the domain path
+    off. At beta = 0 the target rows are skipped and the source rows carry
+    the class gradient verbatim, so a reversal-disabled step is
+    bit-identical to one with no domain path at all.
+    """
+    g_w_class, g_z = _class_head_backward(params, trace, targets)
+    rows = [(trace, g_z)]
+    g_w_dom = None
+    if domain is not None:
+        _require_domain_head(params)
+        src_dom, tgt_trace, tgt_dom = domain
+        g_w_dom_src, g_z_src = _domain_head_backward(params, trace, src_dom, 0)
+        g_w_dom_tgt, g_z_tgt = _domain_head_backward(params, tgt_trace, tgt_dom, 1)
+        g_w_dom = g_w_dom_src + g_w_dom_tgt
+        if beta != 0.0:
+            rows = [(trace, g_z - beta * g_z_src), (tgt_trace, -beta * g_z_tgt)]
+    g_adj, g_w_feat = _shared_backward(cfg, params, rows, alpha)
+    return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=g_w_dom)
 
 
 # --- finite-difference verification ---------------------------------------
@@ -209,9 +265,10 @@ def model_grad_check(
     epsilon: float = 0.1,
     corrupt: str | None = None,
 ) -> float:
-    """Check the composite training gradients on a random small model.
+    """Check the training step's directions on a random small model.
 
-    Three scalars are differentiated, one per update rule: the classifier
+    Three scalars are differentiated, one per update rule, each against
+    the directions `step_directions` hands the optimizer: the classifier
     head against the classification objective, the domain head against the
     domain objective, and the shared parameters against classification
     minus beta times domain. Instances whose pre-activations sit within
@@ -251,59 +308,23 @@ def model_grad_check(
         t = forward(cfg, p, x_tgt)
         return domain_loss(domain_forward(p, s, "node").probs, domain_forward(p, t, "node").probs)
 
-    def grads(p: ParamSet) -> tuple[GradientSet, GradientSet]:
-        s = forward(cfg, p, x_src, mask=mask)
-        t = forward(cfg, p, x_tgt)
-        cg = class_backward(cfg, p, s, targets, alpha)
-        dg = domain_backward(cfg, p, (s, domain_forward(p, s, "node")), (t, domain_forward(p, t, "node")))
-        return cg, dg
-
     if corrupt is not None and corrupt not in params.tensors():
         raise ConfigError(f"cannot corrupt unknown tensor {corrupt!r}")
-
-    def maybe_corrupt(g: GradientSet) -> GradientSet:
-        # the class gradient set has no w_dom slot; skip it there
-        if corrupt is not None:
-            tensor = g.tensors().get(corrupt)
-            if tensor is not None:
-                tensor += 1e-2
-        return g
-
-    worst = 0.0
-    worst = max(
-        worst,
-        grad_check(
-            params,
-            phi_class,
-            lambda p: maybe_corrupt(grads(p)[0]),
-            h=h,
-            names=["w_class"],
-        ),
-    )
-    worst = max(
-        worst,
-        grad_check(
-            params,
-            phi_domain,
-            lambda p: maybe_corrupt(grads(p)[1]),
-            h=h,
-            names=["w_dom"],
-        ),
-    )
 
     def phi_shared(p: ParamSet) -> float:
         return phi_class(p) - beta * phi_domain(p)
 
-    def shared_grads(p: ParamSet) -> GradientSet:
-        cg, dg = grads(p)
-        return maybe_corrupt(
-            GradientSet(
-                adj=cg.adj - beta * dg.adj,
-                w_feat=cg.w_feat - beta * dg.w_feat,
-                w_class=cg.w_class,
-                w_dom=dg.w_dom,
-            )
-        )
+    def directions(p: ParamSet) -> GradientSet:
+        s = forward(cfg, p, x_src, mask=mask)
+        t = forward(cfg, p, x_tgt)
+        domain = (domain_forward(p, s, "node"), t, domain_forward(p, t, "node"))
+        g = step_directions(cfg, p, s, targets, alpha, domain, beta)
+        if corrupt is not None:
+            g.tensors()[corrupt] += 1e-2
+        return g
 
-    worst = max(worst, grad_check(params, phi_shared, shared_grads, h=h, names=["adj", "w_feat"]))
-    return worst
+    return max(
+        grad_check(params, phi_class, directions, h=h, names=["w_class"]),
+        grad_check(params, phi_domain, directions, h=h, names=["w_dom"]),
+        grad_check(params, phi_shared, directions, h=h, names=["adj", "w_feat"]),
+    )

@@ -2,10 +2,11 @@
 
 Each batch recomputes the propagator from the current adjacency, runs the
 classifier on labeled source samples and (when enabled) the domain head
-on paired source/target batches, composes the two gradients under the
-reversal schedule, and takes one Adam step. Runs are bit-reproducible:
-every random draw comes from a child stream of the run seed, and the
-same children are spawned whether or not the domain path is active.
+on paired source/target batches, gets the update directions of both
+objectives under the reversal schedule from one fused backward, and takes
+one Adam step. Runs are bit-reproducible: every random draw comes from a
+child stream of the run seed, and the same children are spawned whether
+or not the domain path is active.
 """
 from __future__ import annotations
 
@@ -27,10 +28,9 @@ from .electrodes import (
     sparsity_fraction,
 )
 from .errors import ConfigError, DivergenceError
-from .gradients import class_backward, domain_backward
+from .gradients import step_directions
 from .losses import (
     LossBreakdown,
-    composite_directions,
     convert_labels,
     domain_loss,
     grl_beta,
@@ -209,10 +209,9 @@ def train(
             trace = forward(model_cfg, params, x, mask=mask)
             kl = kl_loss(trace.probs, targets)
             l1 = l1_penalty(params.adj, cfg.alpha)
-            class_grads = class_backward(model_cfg, params, trace, targets, cfg.alpha)
 
             dom = 0.0
-            domain_grads = None
+            domain = None
             if cfg.uses_domain:
                 beta = float(grl_beta(done_batches / total_batches))
                 tx = epoch_target.features[b * cfg.batch_size : (b + 1) * cfg.batch_size]
@@ -220,16 +219,19 @@ def train(
                 src_dom = domain_forward(params, trace, cfg.domain_level)
                 tgt_dom = domain_forward(params, tgt_trace, cfg.domain_level)
                 dom = domain_loss(src_dom.probs, tgt_dom.probs)
-                domain_grads = domain_backward(
-                    model_cfg, params, (trace, src_dom), (tgt_trace, tgt_dom)
-                )
+                domain = (src_dom, tgt_trace, tgt_dom)
 
             if not np.isfinite(kl + l1 + dom):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, batch {b} "
                     f"(kl={kl}, l1={l1}, domain={dom})"
                 )
-            directions = composite_directions(class_grads, domain_grads, beta)
+            # Non-finite activations can still leave the loss finite; the
+            # directions they poison are reported by adam_step's precheck.
+            with np.errstate(invalid="ignore"):
+                directions = step_directions(
+                    model_cfg, params, trace, targets, cfg.alpha, domain, beta
+                )
             params, state = adam_step(state, params, directions)
             sums = LossBreakdown(
                 sums.kl_term + kl, sums.l1_term + l1, sums.domain_term + dom

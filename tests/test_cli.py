@@ -202,6 +202,44 @@ def test_inspect_reports_structure(bundle, tmp_path, capsys):
     assert mags == sorted(mags, reverse=True)
 
 
+def test_builtin_montage_training_smoke(tmp_path, capsys):
+    # the shipped 62-electrode montage with its hemisphere pairs, NodeDAT and
+    # soft labels on, through synth -> LOSO train -> inspect
+    from eegraph.electrodes import builtin_layout
+
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({
+        "subjects": 3, "trials_per_class": 2, "samples_per_trial": 8,
+        "n_channels": 62, "n_bands": 5, "n_classes": 3,
+        "class_separation": 40.0, "subject_shift_scale": 0.2, "seed": 11,
+    }))
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({
+        "epochs": 2, "batch_size": 16, "hidden_dim": 8, "dropout": 0.5, "seed": 0,
+        "node_dat": True, "emotion_dl": True, "epsilon": 0.2, "protocol": "loso",
+    }))
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--config", str(synth), "--out", str(bundle)]) == EXIT_OK
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (r1, r2):
+        assert main(["train", "--data", str(bundle), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert (r1 / "report.json").read_bytes() == (r2 / "report.json").read_bytes()
+    folds = json.loads((r1 / "history.json").read_text())
+    assert len(folds) == 3
+    for fold in folds:
+        first, last = fold["history"]
+        assert last["total"] < first["total"]
+        assert last["domain_term"] > 0.0 and last["beta"] > 0.0
+
+    assert main(["inspect", "--checkpoint", str(r1 / "fold0.ckpt"), "--top-k", "5"]) == EXIT_OK
+    doc = read_json(capsys)
+    names = builtin_layout().names
+    assert list(doc["activation_map"]) == sorted(names)
+    assert all({row["a"], row["b"]} <= set(names) for row in doc["top_connections"])
+
+
 def test_inspect_missing_checkpoint(tmp_path, capsys):
     assert main(["inspect", "--checkpoint", str(tmp_path / "no.ckpt")]) == EXIT_INVALID
     capsys.readouterr()

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from eegraph.electrodes import ring_layout
+from eegraph.errors import ConfigError
 from eegraph.graph import SymmetricAdjacency
 from eegraph.gradients import (
     class_backward,
@@ -11,8 +12,15 @@ from eegraph.gradients import (
     l1_subgradient,
     model_grad_check,
     relative_error,
+    step_directions,
 )
-from eegraph.losses import convert_labels, domain_loss, kl_loss, l1_penalty
+from eegraph.losses import (
+    composite_directions,
+    convert_labels,
+    domain_loss,
+    kl_loss,
+    l1_penalty,
+)
 from eegraph.model import domain_forward, forward, init_params, sample_dropout_mask
 from eegraph.params import ModelConfig
 
@@ -200,6 +208,57 @@ def test_domain_backward_leaves_classifier_alone():
     )
     assert np.array_equal(g.w_class, np.zeros_like(params.w_class))
     assert g.w_dom is not None and np.abs(g.w_dom).sum() > 0
+
+
+def assert_same_directions(got, ref, exact):
+    assert set(got.tensors()) == set(ref.tensors())
+    for name, want in ref.tensors().items():
+        if exact:
+            assert np.array_equal(got.tensors()[name], want), name
+        else:
+            err = np.abs(got.tensors()[name] - want).max()
+            assert err <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("n", [4, 62])
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_step_directions_match_composed_backwards(n, batch, steps, masked):
+    # the fused backward against the two per-objective passes composed under
+    # the reversal rule: equal to rounding, bit-equal where no domain
+    # gradient reaches the shared parameters
+    cfg = ModelConfig(n_channels=n, in_dim=5, hidden_dim=4, n_classes=3, steps=steps,
+                      dropout=0.5)
+    params = init_params(cfg, ring_layout(n), n + steps, domain_head=True)
+    rng = np.random.default_rng(batch)
+    xs = rng.normal(size=(batch, n, cfg.in_dim))
+    xt = rng.normal(size=(batch, n, cfg.in_dim))
+    mask = sample_dropout_mask(rng, (batch, cfg.hidden_dim), 0.5) if masked else None
+    targets = convert_labels(rng.integers(0, 3, size=batch), "seed3", 0.2)
+    alpha = 0.01
+    src = forward(cfg, params, xs, mask=mask)
+    tgt = forward(cfg, params, xt)
+    cls = class_backward(cfg, params, src, targets, alpha)
+
+    off = step_directions(cfg, params, src, targets, alpha)
+    assert_same_directions(off, composite_directions(cls, None, 0.0), exact=True)
+    for level in ("node", "graph"):
+        sd, td = domain_forward(params, src, level), domain_forward(params, tgt, level)
+        dom = domain_backward(cfg, params, (src, sd), (tgt, td))
+        for beta in (0.0, 0.3, 1.0):
+            got = step_directions(cfg, params, src, targets, alpha, (sd, tgt, td), beta)
+            ref = composite_directions(cls, dom, beta)
+            assert_same_directions(got, ref, exact=beta == 0.0)
+
+
+def test_step_directions_need_a_domain_head():
+    params, x = build(14)
+    tr = forward(CFG, params, x)
+    dom = (None, tr, None)
+    targets = convert_labels(np.array([0, 1, 2]), "seed3", 0.0)
+    with pytest.raises(ConfigError):
+        step_directions(CFG, params, tr, targets, 0.0, dom, 0.5)
 
 
 def test_l1_subgradient_values():

@@ -206,6 +206,15 @@ def test_divergent_directions_also_caught():
         train(broken, None, TrainConfig(**QUICK))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("node_dat", [False, True])
+def test_divergent_directions_raise_without_numpy_warnings(node_dat):
+    broken = DS.take(np.arange(DS.n_samples))
+    broken.features[0, 0, 0] = np.inf
+    with pytest.raises(DivergenceError):
+        train(broken, TGT, TrainConfig(node_dat=node_dat, **QUICK))
+
+
 def test_layout_size_mismatch():
     with pytest.raises(ConfigError):
         train(DS, None, TrainConfig(**QUICK), layout=ring_layout(4))
