@@ -4,8 +4,8 @@ finite-difference checker that keeps them honest.
 The computation graph never changes shape, so each adjoint is written out
 by hand instead of taping operations. The classifier and the domain head
 reach the shared parameters through the same propagation chain, so a
-training step combines their gradients at the propagated features z and
-runs one backward through the chain (`step_directions`), built from
+training step combines their gradients at the node features z and runs
+one backward through the chain (`step_directions`), built from
 GEMMs only. `class_backward` and `domain_backward` give each objective's
 own gradient through that same backward. Subgradients at the ReLU and
 absolute-value kinks are taken as 0. Everything runs in float64.
@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SymmetricAdjacency, fold_full_gradient, n_upper
+from .graph import SymmetricAdjacency, diagonal_positions, fold_full_gradient, n_upper
 from .losses import convert_labels, domain_loss, kl_loss, l1_penalty
 from .model import DomainTrace, ForwardTrace, domain_forward, forward, sample_dropout_mask
 from .params import GradientSet, ModelConfig, ParamSet
@@ -36,23 +36,29 @@ def _shared_backward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Push gradients at z back to the shared parameters (packed adj, w_feat).
 
-    `rows` pairs each forward trace with the gradient at its propagated
-    features z. Every block shares S and w_feat, so the blocks are laid out
-    as (n, rows * hidden) matrices: each hop costs one GEMM for the
-    propagator gradient and one for the chain, and the normalization
-    adjoint runs once for all of them. Adds the L1 subgradient of weight
-    alpha. The traces must come from a forward pass on `params`.
+    `rows` pairs each forward trace with the gradient at its features z =
+    (S^K x) W. The projection comes last in the forward, so its gradient is
+    one GEMM over all rows, and one GEMM by W^T takes the gradient down to
+    the band width before the hop chain. Every block shares S, so the
+    band-width blocks are laid out as (n, rows * in_dim) matrices: each hop
+    costs one GEMM for the propagator gradient and one for the chain (none
+    after the first hop, since nothing reads the gradient at x), and the
+    normalization adjoint runs once for all of them. Adds the L1
+    subgradient of weight alpha. The traces must come from a forward pass
+    on `params`.
     """
     n = cfg.n_channels
     traces = [trace for trace, _ in rows]
     prop = traces[0].prop
-    g_h = _wide([g_z for _, g_z in rows], n)
+    g_z = np.concatenate([g for _, g in rows]).reshape(-1, cfg.hidden_dim)
+    top = np.concatenate([trace.hops[-1] for trace in traces]).reshape(-1, cfg.in_dim)
+    g_w_feat = top.T @ g_z
+    g_h = _wide([(g_z @ params.w_feat.T).reshape(-1, n, cfg.in_dim)], n)
     g_prop = np.zeros_like(prop)
     for hop in range(cfg.steps, 0, -1):
-        g_prop += g_h @ _wide([trace.hidden[hop - 1] for trace in traces], n).T
-        g_h = prop.T @ g_h
-    x = _wide([trace.x for trace in traces], n)
-    g_w_feat = x.reshape(-1, cfg.in_dim).T @ g_h.reshape(-1, cfg.hidden_dim)
+        g_prop += g_h @ _wide([trace.hops[hop - 1] for trace in traces], n).T
+        if hop > 1:
+            g_h = prop.T @ g_h
 
     # Adjoint of S = D^(-1/2) A D^(-1/2) with D from |A|: each matrix entry
     # feeds S directly and also through its own row's degree; the degree
@@ -63,13 +69,21 @@ def _shared_backward(
     gs = g_prop * prop
     g_deg = -(gs.sum(axis=1) + gs.sum(axis=0)) / (2.0 * deg)
     g_full = g_prop * inv_sqrt[:, None] * inv_sqrt[None, :] + np.sign(full) * g_deg[:, None]
-    g_adj = fold_full_gradient(g_full) + fold_full_gradient(alpha * np.sign(full))
+    g_adj = fold_full_gradient(g_full) + l1_subgradient(params.adj, alpha)
     return g_adj, g_w_feat
 
 
 def l1_subgradient(adj: SymmetricAdjacency, alpha: float) -> np.ndarray:
-    """Packed subgradient of the full-matrix absolute sum, 0 at 0."""
-    return fold_full_gradient(alpha * np.sign(adj.full()))
+    """Packed subgradient of the full-matrix absolute sum, 0 at 0.
+
+    Read from the packed triangle: an off-diagonal parameter backs two
+    mirrored entries, so its sign counts twice.
+    """
+    sign = np.sign(adj.upper)
+    g = 2.0 * alpha * sign
+    diag = diagonal_positions(adj.n)
+    g[diag] = alpha * sign[diag]
+    return g
 
 
 def _class_head_backward(

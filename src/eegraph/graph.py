@@ -24,6 +24,15 @@ def upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=64)
+def diagonal_positions(n: int) -> np.ndarray:
+    """Packed positions of the n diagonal entries."""
+    rows, cols = upper_indices(n)
+    positions = np.flatnonzero(rows == cols)
+    positions.setflags(write=False)
+    return positions
+
+
 def n_upper(n: int) -> int:
     return n * (n + 1) // 2
 
@@ -93,7 +102,7 @@ class SymmetricAdjacency:
         return unpack_upper(self.upper, self.n)
 
     def diagonal(self) -> np.ndarray:
-        return self.full().diagonal().copy()
+        return self.upper[diagonal_positions(self.n)]
 
     def copy(self) -> "SymmetricAdjacency":
         return SymmetricAdjacency(self.n, self.upper.copy())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SymmetricAdjacency
+from .graph import SymmetricAdjacency, diagonal_positions
 from .params import GradientSet
 
 
@@ -151,11 +151,13 @@ def l1_penalty(adj: SymmetricAdjacency, alpha: float) -> float:
     """alpha times the absolute sum over the full symmetric matrix.
 
     Off-diagonal parameters count twice so the penalty depends on the
-    matrix, not on the packed storage choice.
+    matrix, not on the packed storage choice; the sum is read from the
+    packed triangle.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    return float(alpha * np.abs(adj.full()).sum())
+    mags = np.abs(adj.upper)
+    return float(alpha * (2.0 * mags.sum() - mags[diagonal_positions(adj.n)].sum()))
 
 
 def domain_loss(source_probs: np.ndarray, target_probs: np.ndarray) -> float:

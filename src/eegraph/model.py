@@ -1,9 +1,12 @@
 """Forward pass of the graph classifier and its domain head.
 
-Features are projected per channel, propagated over the normalized
-adjacency a fixed number of hops, rectified, sum-pooled over channels,
-and classified. Every intermediate needed by the backward pass is kept
-on a trace object so gradients never recompute the forward.
+The band features are propagated over the normalized adjacency a fixed
+number of hops, then projected per channel to the hidden width,
+rectified, sum-pooled over channels, and classified. Propagating first
+is the simple-graph-convolution order (S^K X) W: it equals S^K (X W),
+but the hop chain runs in the narrow band width. Every intermediate
+needed by the backward pass is kept on a trace object so gradients never
+recompute the forward.
 """
 from __future__ import annotations
 
@@ -75,9 +78,10 @@ def sample_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: 
 class ForwardTrace:
     """Everything the classifier computed for one batch."""
 
-    x: np.ndarray              # (b, n, in_dim)
     prop: np.ndarray           # (n, n) normalized propagator
-    hidden: list[np.ndarray]   # hops 0..steps, each (b, n, hidden_dim)
+    hops: list[np.ndarray]     # x, Sx, ..., S^steps x, each (b, n, in_dim)
+    w_feat: np.ndarray         # (in_dim, hidden_dim) projection after the last hop
+    z: np.ndarray              # (b, n, hidden_dim) (S^steps x) W: propagated, then projected
     relu_z: np.ndarray         # (b, n, hidden_dim)
     pooled: np.ndarray         # (b, hidden_dim), pre-dropout
     mask: np.ndarray | None    # (b, hidden_dim) keep mask, None in eval
@@ -87,8 +91,9 @@ class ForwardTrace:
     probs: np.ndarray          # (b, n_classes)
 
     @property
-    def z(self) -> np.ndarray:
-        return self.hidden[-1]
+    def hidden(self) -> list[np.ndarray]:
+        """Hop k projected to the hidden width, S^k x W (built on demand)."""
+        return [np.matmul(h, self.w_feat) for h in self.hops]
 
 
 def forward(
@@ -113,10 +118,11 @@ def forward(
             f"({cfg.n_channels} channels, {cfg.in_dim} bands)"
         )
     prop = normalized_propagator(params.adj)
-    hidden = [np.matmul(x, params.w_feat)]
+    hops = [x]
     for _ in range(cfg.steps):
-        hidden.append(np.matmul(prop, hidden[-1]))
-    relu_z = relu(hidden[-1])
+        hops.append(np.matmul(prop, hops[-1]))
+    z = np.matmul(hops[-1], params.w_feat)
+    relu_z = relu(z)
     pooled = relu_z.sum(axis=1)
     if mask is not None:
         if mask.shape != pooled.shape:
@@ -128,9 +134,10 @@ def forward(
         pooled_drop = pooled
     logits = pooled_drop @ params.w_class
     return ForwardTrace(
-        x=x,
         prop=prop,
-        hidden=hidden,
+        hops=hops,
+        w_feat=params.w_feat,
+        z=z,
         relu_z=relu_z,
         pooled=pooled,
         mask=mask,

@@ -4,7 +4,12 @@ import pytest
 
 from eegraph.electrodes import ring_layout
 from eegraph.errors import ConfigError
-from eegraph.graph import SymmetricAdjacency
+from eegraph.graph import (
+    SymmetricAdjacency,
+    fold_full_gradient,
+    normalized_propagator,
+    propagate,
+)
 from eegraph.gradients import (
     class_backward,
     domain_backward,
@@ -22,7 +27,7 @@ from eegraph.losses import (
     l1_penalty,
 )
 from eegraph.model import domain_forward, forward, init_params, sample_dropout_mask
-from eegraph.params import ModelConfig
+from eegraph.params import GradientSet, ModelConfig
 
 CFG = ModelConfig(n_channels=5, in_dim=3, hidden_dim=4, n_classes=3, steps=2)
 
@@ -210,14 +215,14 @@ def test_domain_backward_leaves_classifier_alone():
     assert g.w_dom is not None and np.abs(g.w_dom).sum() > 0
 
 
-def assert_same_directions(got, ref, exact):
+def assert_same_directions(got, ref, exact, rtol=1e-12):
     assert set(got.tensors()) == set(ref.tensors())
     for name, want in ref.tensors().items():
         if exact:
             assert np.array_equal(got.tensors()[name], want), name
         else:
             err = np.abs(got.tensors()[name] - want).max()
-            assert err <= 1e-12 * np.abs(want).max(), name
+            assert err <= rtol * np.abs(want).max(), name
 
 
 @pytest.mark.parametrize("n", [4, 62])
@@ -250,6 +255,119 @@ def test_step_directions_match_composed_backwards(n, batch, steps, masked):
             got = step_directions(cfg, params, src, targets, alpha, (sd, tgt, td), beta)
             ref = composite_directions(cls, dom, beta)
             assert_same_directions(got, ref, exact=beta == 0.0)
+
+
+def project_first_reference(cfg, params, xs, mask, targets, alpha, xt=None, level="node",
+                            beta=0.0):
+    """Training directions through the project-first chain S^K (X W), written
+    out plainly and independently of the fused core: every trace walks its
+    own hidden-width hops, and the two objectives are composed at the end.
+    """
+    prop = normalized_propagator(params.adj)
+    full = params.adj.full()
+
+    def chain(x):
+        hidden = [x @ params.w_feat]
+        for _ in range(cfg.steps):
+            hidden.append(np.matmul(prop, hidden[-1]))
+        return hidden
+
+    def shared(x, hidden, g_z):
+        g_h = g_z
+        g_prop = np.zeros_like(prop)
+        for hop in range(cfg.steps, 0, -1):
+            for b in range(len(x)):
+                g_prop += g_h[b] @ hidden[hop - 1][b].T
+            g_h = np.matmul(prop.T, g_h)
+        g_w_feat = sum(x[b].T @ g_h[b] for b in range(len(x)))
+        deg = np.abs(full).sum(axis=1)
+        g_full = np.zeros_like(full)
+        for i in range(cfg.n_channels):
+            for j in range(cfg.n_channels):
+                # S_ij = A_ij / sqrt(d_i d_j), d_i = sum_k |A_ik|
+                g_full[i, j] += g_prop[i, j] / np.sqrt(deg[i] * deg[j])
+                d_deg = -0.5 * g_prop[i, j] * prop[i, j]
+                g_full[i, :] += np.sign(full[i, :]) * d_deg / deg[i]
+                g_full[j, :] += np.sign(full[j, :]) * d_deg / deg[j]
+        return fold_full_gradient(g_full), g_w_feat
+
+    hs = chain(xs)
+    z = hs[-1]
+    relu_z = np.maximum(z, 0.0)
+    keep = np.ones((len(xs), cfg.hidden_dim)) if mask is None else mask / (1.0 - cfg.dropout)
+    pooled_drop = relu_z.sum(axis=1) * keep
+    probs = np.exp(pooled_drop @ params.w_class)
+    probs /= probs.sum(axis=1, keepdims=True)
+    g_logits = probs - targets
+    g_pooled = (g_logits @ params.w_class.T) * keep
+    g_adj, g_w_feat = shared(xs, hs, (z > 0.0) * g_pooled[:, None, :])
+    g_adj = g_adj + fold_full_gradient(alpha * np.sign(full))
+    cls = GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=pooled_drop.T @ g_logits, w_dom=None)
+    if xt is None:
+        return cls
+
+    g_adj_dom = np.zeros_like(g_adj)
+    g_w_feat_dom = np.zeros_like(g_w_feat)
+    g_w_dom = np.zeros_like(params.w_dom)
+    for x, domain_index in ((xs, 0), (xt, 1)):
+        hidden = chain(x)
+        z = hidden[-1]
+        inputs = np.maximum(z, 0.0) if level == "node" else np.maximum(z, 0.0).sum(axis=1)
+        logits = inputs @ params.w_dom
+        g_dlogits = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        g_dlogits[..., domain_index] -= 1.0
+        g_w_dom += inputs.reshape(-1, cfg.hidden_dim).T @ g_dlogits.reshape(-1, 2)
+        g_inputs = g_dlogits @ params.w_dom.T
+        if level == "graph":
+            g_inputs = g_inputs[:, None, :]
+        g_a, g_w = shared(x, hidden, (z > 0.0) * g_inputs)
+        g_adj_dom += g_a
+        g_w_feat_dom += g_w
+    return GradientSet(
+        adj=cls.adj - beta * g_adj_dom,
+        w_feat=cls.w_feat - beta * g_w_feat_dom,
+        w_class=cls.w_class,
+        w_dom=g_w_dom,
+    )
+
+
+@pytest.mark.parametrize("n", [4, 62])
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("masked", [False, True])
+def test_step_directions_match_project_first_reference(n, batch, steps, masked):
+    # the propagate-first core against the project-first chain, which shares
+    # no code with it; equal to rounding for every objective combination
+    cfg = ModelConfig(n_channels=n, in_dim=5, hidden_dim=4, n_classes=3, steps=steps,
+                      dropout=0.5)
+    params = init_params(cfg, ring_layout(n), 2 * n + steps, domain_head=True)
+    rng = np.random.default_rng(batch + 100)
+    xs = rng.normal(size=(batch, n, cfg.in_dim))
+    xt = rng.normal(size=(batch, n, cfg.in_dim))
+    mask = sample_dropout_mask(rng, (batch, cfg.hidden_dim), 0.5) if masked else None
+    targets = convert_labels(rng.integers(0, 3, size=batch), "seed3", 0.2)
+    alpha = 0.01
+    src = forward(cfg, params, xs, mask=mask)
+    tgt = forward(cfg, params, xt)
+
+    assert_same_directions(step_directions(cfg, params, src, targets, alpha),
+                           project_first_reference(cfg, params, xs, mask, targets, alpha),
+                           exact=False, rtol=1e-10)
+    for level in ("node", "graph"):
+        domain = (domain_forward(params, src, level), tgt, domain_forward(params, tgt, level))
+        for beta in (0.0, 0.3):
+            got = step_directions(cfg, params, src, targets, alpha, domain, beta)
+            ref = project_first_reference(cfg, params, xs, mask, targets, alpha, xt, level, beta)
+            assert_same_directions(got, ref, exact=False, rtol=1e-10)
+
+
+def test_forward_z_matches_project_first_chain():
+    n, steps = 62, 3
+    cfg = ModelConfig(n_channels=n, in_dim=5, hidden_dim=16, n_classes=3, steps=steps)
+    params = init_params(cfg, ring_layout(n), 5)
+    x = np.random.default_rng(6).normal(size=(8, n, cfg.in_dim))
+    want = propagate(normalized_propagator(params.adj), x @ params.w_feat, steps)
+    np.testing.assert_allclose(forward(cfg, params, x).z, want, rtol=0.0, atol=1e-12)
 
 
 def test_step_directions_need_a_domain_head():
@@ -291,6 +409,23 @@ def test_l1_subgradient_matches_finite_difference():
         )
 
     assert grad_check(params, loss, grads, names=["adj"]) < 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 62])
+def test_l1_terms_read_from_the_packed_triangle(n):
+    # the packed forms agree with the full-matrix definitions: the
+    # subgradient bit for bit, the penalty to rounding
+    rng = np.random.default_rng(n)
+    full = rng.normal(size=(n, n))
+    full = full + full.T
+    full[rng.random((n, n)) < 0.3] = 0.0
+    full = np.triu(full) + np.triu(full, 1).T
+    adj = SymmetricAdjacency.from_full(full)
+    for alpha in (0.0, 0.01, 0.7):
+        want = fold_full_gradient(alpha * np.sign(adj.full()))
+        assert np.array_equal(l1_subgradient(adj, alpha), want)
+        ref = alpha * np.abs(adj.full()).sum()
+        assert abs(l1_penalty(adj, alpha) - ref) <= 1e-12 * ref
 
 
 def test_model_check_default_instance():

@@ -177,6 +177,13 @@ def test_upper_gradient_matches_finite_difference_of_full_view():
         assert abs(fd - analytic[k]) < 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 4, 62])
+def test_diagonal_reads_packed_entries(n):
+    adj = SymmetricAdjacency.from_full(random_symmetric(np.random.default_rng(n), n))
+    adj.upper *= np.random.default_rng(n + 1).uniform(0.5, 2.0, size=adj.upper.shape)
+    assert np.array_equal(adj.diagonal(), adj.full().diagonal())
+
+
 def test_bytes_round_trip():
     rng = np.random.default_rng(21)
     adj = SymmetricAdjacency(6, rng.normal(size=n_upper(6)))

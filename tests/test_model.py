@@ -1,4 +1,6 @@
 """Forward pass, dropout, and the two domain head variants."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,20 @@ def test_hidden_chain_matches_propagate():
     s = normalized_propagator(p.adj)
     for k in range(1, CFG.steps + 1):
         assert np.allclose(tr.hidden[k], propagate(s, h0, k), atol=1e-12)
+
+
+def test_trace_keeps_no_hidden_width_hop():
+    # the hops are stored at the band width; only z and its rectification
+    # are hidden-width node tensors, whatever the hop count
+    cfg = ModelConfig(n_channels=62, in_dim=5, hidden_dim=64, n_classes=3, steps=3)
+    p = make_params(cfg=cfg)
+    x = np.random.default_rng(7).normal(size=(8, 62, 5))
+    tr = forward(cfg, p, x)
+    assert len(tr.hops) == cfg.steps + 1
+    for hop in tr.hops:
+        assert hop.shape == (8, 62, 5)
+    wide = [f.name for f in fields(tr) if np.shape(getattr(tr, f.name)) == (8, 62, 64)]
+    assert sorted(wide) == ["relu_z", "z"]
 
 
 def test_single_step_is_one_smoothing_application():
