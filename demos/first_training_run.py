@@ -40,7 +40,7 @@ first = results[0]
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "fold0.ckpt"
     save_checkpoint(path, Checkpoint(
-        cfg=first.model_cfg, params=first.params, optimizer=first.optimizer,
+        cfg=first.model_cfg, params=first.params,
         channel_names=first.channel_names, global_pairs=first.global_pairs,
     ))
     back = load_checkpoint(path)

@@ -1,11 +1,11 @@
 """Checkpoint files: a JSON header line, then raw little-endian blocks.
 
-Layout: header JSON + newline; adjacency block (u32 channel count, then
-the packed float64 triangle); each dense weight as a shape-prefixed block
-(u32 ndim, u32 dims, float64 data); optionally the optimizer's moment
-buffers as the same kind of blocks, interleaved m then v per tensor in
-the fixed tensor order. Headers are serialized with sorted keys so equal
-states produce byte-identical files.
+Layout (version 2): header JSON + newline; adjacency block (u32 channel
+count, then the packed float64 triangle); each dense weight, w_feat,
+w_class and w_dom when the header says there is a domain head, as a
+shape-prefixed block (u32 ndim, u32 dims, float64 data). A checkpoint
+holds the trained parameters only, no optimizer state. Headers are
+serialized with sorted keys so equal states produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import CorruptBundleError
 from .graph import SymmetricAdjacency
-from .optim import AdamConfig, AdamState
 from .params import TENSOR_ORDER, ModelConfig, ParamSet
 
 FORMAT_NAME = "eegraph-checkpoint"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def write_array_block(arr: np.ndarray) -> bytes:
@@ -58,7 +57,6 @@ class Checkpoint:
 
     cfg: ModelConfig
     params: ParamSet
-    optimizer: AdamState | None = None
     channel_names: list[str] | None = None
     global_pairs: list[tuple[str, str]] | None = None
 
@@ -80,18 +78,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "has_domain_head": params.w_dom is not None,
         "channel_names": ckpt.channel_names,
         "global_pairs": [list(p) for p in ckpt.global_pairs] if ckpt.global_pairs else None,
-        "optimizer": None,
     }
-    if ckpt.optimizer is not None:
-        oc = ckpt.optimizer.cfg
-        header["optimizer"] = {
-            "t": ckpt.optimizer.t,
-            "lr": oc.lr,
-            "beta1": oc.beta1,
-            "beta2": oc.beta2,
-            "eps": oc.eps,
-            "weight_decay": oc.weight_decay,
-        }
     blob = bytearray()
     blob += json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
     blob += params.adj.to_bytes()
@@ -100,12 +87,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         if name == "adj" or name not in tensors:
             continue
         blob += write_array_block(tensors[name])
-    if ckpt.optimizer is not None:
-        for name in TENSOR_ORDER:
-            if name not in tensors:
-                continue
-            blob += write_array_block(ckpt.optimizer.m[name])
-            blob += write_array_block(ckpt.optimizer.v[name])
     Path(path).write_bytes(bytes(blob))
 
 
@@ -156,31 +137,6 @@ def load_checkpoint(path) -> Checkpoint:
     except Exception as exc:
         raise CorruptBundleError(f"{p}: {exc}") from None
 
-    optimizer = None
-    if header.get("optimizer") is not None:
-        o = header["optimizer"]
-        try:
-            ocfg = AdamConfig(
-                lr=float(o["lr"]),
-                beta1=float(o["beta1"]),
-                beta2=float(o["beta2"]),
-                eps=float(o["eps"]),
-                weight_decay=float(o["weight_decay"]),
-            )
-            t = int(o["t"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorruptBundleError(f"{p}: bad optimizer header ({exc})") from None
-        optimizer = AdamState(cfg=ocfg, t=t)
-        tensors = params.tensors()
-        for name in TENSOR_ORDER:
-            if name not in tensors:
-                continue
-            optimizer.m[name], off = read_array_block(body, off, f"m[{name}]")
-            optimizer.v[name], off = read_array_block(body, off, f"v[{name}]")
-            if optimizer.m[name].shape != tensors[name].shape:
-                raise CorruptBundleError(f"{p}: optimizer m[{name}] shape mismatch")
-            if optimizer.v[name].shape != tensors[name].shape:
-                raise CorruptBundleError(f"{p}: optimizer v[{name}] shape mismatch")
     if off != len(body):
         raise CorruptBundleError(f"{p}: {len(body) - off} unexpected trailing bytes")
 
@@ -189,7 +145,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         cfg=cfg,
         params=params,
-        optimizer=optimizer,
         channel_names=list(names) if names else None,
         global_pairs=[tuple(q) for q in pairs] if pairs else None,
     )

@@ -132,7 +132,6 @@ def cmd_train(args) -> int:
             Checkpoint(
                 cfg=r.model_cfg,
                 params=r.params,
-                optimizer=r.optimizer,
                 channel_names=r.channel_names,
                 global_pairs=r.global_pairs,
             ),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, LayoutError
-from .graph import SymmetricAdjacency, n_upper, pack_upper, upper_indices
+from .graph import SymmetricAdjacency, pack_upper, upper_indices
 
 DELTA_DEFAULT = 5.0
 SPARSITY_THRESHOLD = 0.1
@@ -123,11 +123,6 @@ class GlobalPairSet:
         return out
 
 
-def _load_pairs_resource(filename: str) -> GlobalPairSet:
-    ref = importlib.resources.files("eegraph") / "assets" / filename
-    return _parse_pairs(ref.read_text().splitlines(), filename)
-
-
 def _parse_pairs(lines, source: str) -> GlobalPairSet:
     pairs = []
     for lineno, raw in enumerate(lines, 1):
@@ -149,17 +144,8 @@ def load_global_pairs(path) -> GlobalPairSet:
 
 def default_global_pairs() -> GlobalPairSet:
     """Frontal-to-occipital symmetric pairs used by default."""
-    return _load_pairs_resource("global_pairs.txt")
-
-
-def central_global_pairs() -> GlobalPairSet:
-    """Variant set hugging the midline chains."""
-    return _load_pairs_resource("global_pairs_central.txt")
-
-
-def lateral_global_pairs() -> GlobalPairSet:
-    """Variant set along the temporal rim."""
-    return _load_pairs_resource("global_pairs_lateral.txt")
+    ref = importlib.resources.files("eegraph") / "assets" / "global_pairs.txt"
+    return _parse_pairs(ref.read_text().splitlines(), "global_pairs.txt")
 
 
 def init_local_adjacency(distances: np.ndarray, delta: float = DELTA_DEFAULT) -> np.ndarray:
@@ -238,25 +224,3 @@ def calibrate_delta(
     k = min(max(k, 1), m - 1)
     cut = 0.5 * (d2[k - 1] + d2[k])
     return float(threshold * cut)
-
-
-def correlation_adjacency(features: np.ndarray) -> SymmetricAdjacency:
-    """Data-driven alternative init: absolute channel correlations.
-
-    `features` is (samples, channels, bands); channels are correlated over
-    the flattened (sample, band) axis. Constant channels correlate at 0.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 3:
-        raise ConfigError(f"expected (samples, channels, bands) features, got {x.shape}")
-    flat = x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-    centered = flat - flat.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered**2).sum(axis=1))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    unit = centered / safe[:, None]
-    corr = np.abs(unit @ unit.T)
-    corr[norms == 0.0, :] = 0.0
-    corr[:, norms == 0.0] = 0.0
-    np.fill_diagonal(corr, 1.0)
-    corr = 0.5 * (corr + corr.T)  # kill asymmetric rounding dust
-    return SymmetricAdjacency(corr.shape[0], pack_upper(corr))

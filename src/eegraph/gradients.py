@@ -98,8 +98,10 @@ def _class_head_backward(
     g_pooled = g_logits @ params.w_class.T
     if trace.mask is not None:
         g_pooled = g_pooled * trace.mask * trace.keep_scale
-    # sum pooling hands every node the pooled gradient; the ReLU gates it
-    return g_w_class, np.where(trace.z > 0.0, g_pooled[:, None, :], 0.0)
+    # sum pooling hands every node the pooled gradient; the ReLU gates it by
+    # a multiply, so a non-finite gradient at a dead unit stays NaN for
+    # adam_step's precheck to report
+    return g_w_class, (trace.z > 0.0) * g_pooled[:, None, :]
 
 
 def _domain_head_backward(
@@ -113,7 +115,7 @@ def _domain_head_backward(
     g_inputs = g_dlogits @ params.w_dom.T
     if dom.level == "graph":
         g_inputs = g_inputs[:, None, :]
-    return g_w_dom, np.where(trace.z > 0.0, g_inputs, 0.0)
+    return g_w_dom, (trace.z > 0.0) * g_inputs
 
 
 def _require_domain_head(params: ParamSet) -> None:

@@ -8,34 +8,11 @@ reversed (scaled by a schedule) before it reaches shared parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .graph import SymmetricAdjacency, diagonal_positions
 from .params import GradientSet
-
-
-@dataclass
-class LossBreakdown:
-    """Additive pieces of one training step's objective."""
-
-    kl_term: float
-    l1_term: float
-    domain_term: float
-
-    @property
-    def total(self) -> float:
-        return self.kl_term + self.l1_term + self.domain_term
-
-    def as_dict(self) -> dict:
-        return {
-            "kl_term": self.kl_term,
-            "l1_term": self.l1_term,
-            "domain_term": self.domain_term,
-            "total": self.total,
-        }
 
 
 # --- soft labels -----------------------------------------------------------

@@ -80,7 +80,6 @@ class ForwardTrace:
 
     prop: np.ndarray           # (n, n) normalized propagator
     hops: list[np.ndarray]     # x, Sx, ..., S^steps x, each (b, n, in_dim)
-    w_feat: np.ndarray         # (in_dim, hidden_dim) projection after the last hop
     z: np.ndarray              # (b, n, hidden_dim) (S^steps x) W: propagated, then projected
     relu_z: np.ndarray         # (b, n, hidden_dim)
     pooled: np.ndarray         # (b, hidden_dim), pre-dropout
@@ -89,11 +88,6 @@ class ForwardTrace:
     pooled_drop: np.ndarray    # (b, hidden_dim) fed to the classifier
     logits: np.ndarray         # (b, n_classes)
     probs: np.ndarray          # (b, n_classes)
-
-    @property
-    def hidden(self) -> list[np.ndarray]:
-        """Hop k projected to the hidden width, S^k x W (built on demand)."""
-        return [np.matmul(h, self.w_feat) for h in self.hops]
 
 
 def forward(
@@ -136,7 +130,6 @@ def forward(
     return ForwardTrace(
         prop=prop,
         hops=hops,
-        w_feat=params.w_feat,
         z=z,
         relu_z=relu_z,
         pooled=pooled,

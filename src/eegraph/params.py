@@ -1,7 +1,7 @@
 """Model configuration and the learnable parameter/gradient containers."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class ModelConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-
-    def with_(self, **kw) -> "ModelConfig":
-        return replace(self, **kw)
 
 
 @dataclass

@@ -29,14 +29,7 @@ from .electrodes import (
 )
 from .errors import ConfigError, DivergenceError
 from .gradients import step_directions
-from .losses import (
-    LossBreakdown,
-    convert_labels,
-    domain_loss,
-    grl_beta,
-    kl_loss,
-    l1_penalty,
-)
+from .losses import convert_labels, domain_loss, grl_beta, kl_loss, l1_penalty
 from .model import domain_forward, forward, init_params, predict, sample_dropout_mask
 from .optim import AdamConfig, AdamState, adam_step
 from .params import ModelConfig, ParamSet
@@ -97,7 +90,6 @@ class TrainResult:
     cfg: TrainConfig
     model_cfg: ModelConfig
     params: ParamSet
-    optimizer: AdamState
     history: list[dict] = field(default_factory=list)
     channel_names: list[str] | None = None
     global_pairs: list[tuple[str, str]] | None = None
@@ -199,7 +191,7 @@ def train(
         epoch_target = None
         if cfg.uses_domain:
             epoch_target = resample_target(n, target, target_epoch_ss[epoch])
-        sums = LossBreakdown(0.0, 0.0, 0.0)
+        kl_sum = l1_sum = dom_sum = 0.0
         beta = 0.0
         for b in range(batches_per_epoch):
             idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
@@ -233,9 +225,9 @@ def train(
                     model_cfg, params, trace, targets, cfg.alpha, domain, beta
                 )
             params, state = adam_step(state, params, directions)
-            sums = LossBreakdown(
-                sums.kl_term + kl, sums.l1_term + l1, sums.domain_term + dom
-            )
+            kl_sum += kl
+            l1_sum += l1
+            dom_sum += dom
             done_batches += 1
         train_acc = float(
             (predict(model_cfg, params, train_ds.features) == train_ds.labels).mean()
@@ -243,10 +235,10 @@ def train(
         history.append(
             {
                 "epoch": epoch,
-                "kl_term": sums.kl_term,
-                "l1_term": sums.l1_term,
-                "domain_term": sums.domain_term,
-                "total": sums.total,
+                "kl_term": kl_sum,
+                "l1_term": l1_sum,
+                "domain_term": dom_sum,
+                "total": kl_sum + l1_sum + dom_sum,
                 "train_accuracy": train_acc,
                 "beta": beta,
             }
@@ -256,7 +248,6 @@ def train(
         cfg=cfg,
         model_cfg=model_cfg,
         params=params,
-        optimizer=state,
         history=history,
         channel_names=list(layout.names),
         global_pairs=list(global_pairs.pairs) if global_pairs is not None else None,

@@ -14,13 +14,12 @@ from eegraph.checkpoint import (
 from eegraph.errors import CorruptBundleError
 from eegraph.graph import SymmetricAdjacency
 from eegraph.model import init_params
-from eegraph.optim import AdamConfig, AdamState, adam_step
-from eegraph.params import GradientSet, ModelConfig
+from eegraph.params import ModelConfig
 
 CFG = ModelConfig(n_channels=5, in_dim=3, hidden_dim=4, n_classes=3, steps=2)
 
 
-def sample_ckpt(seed=0, domain_head=True, optimizer=True):
+def sample_ckpt(seed=0, domain_head=True):
     rng = np.random.default_rng(seed)
     full = rng.uniform(0.2, 1.0, size=(5, 5))
     full = (full + full.T) / 2
@@ -28,18 +27,9 @@ def sample_ckpt(seed=0, domain_head=True, optimizer=True):
     params = init_params(
         CFG, None, seed, domain_head=domain_head, adj=SymmetricAdjacency.from_full(full)
     )
-    state = None
-    if optimizer:
-        state = AdamState.for_params(params, AdamConfig(lr=0.02, weight_decay=0.1))
-        g = GradientSet.zeros_like(params)
-        for arr in g.tensors().values():
-            arr += rng.normal(size=arr.shape)
-        adam_step(state, params, g)
-        adam_step(state, params, g)
     return Checkpoint(
         cfg=CFG,
         params=params,
-        optimizer=state,
         channel_names=[f"E{i}" for i in range(5)],
         global_pairs=[("E0", "E4")],
     )
@@ -73,7 +63,7 @@ def test_array_block_absurd_rank():
 
 
 def test_round_trip_minimal(tmp_path):
-    ck = sample_ckpt(domain_head=False, optimizer=False)
+    ck = sample_ckpt(domain_head=False)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ck)
     back = load_checkpoint(path)
@@ -82,7 +72,6 @@ def test_round_trip_minimal(tmp_path):
     assert np.array_equal(back.params.w_feat, ck.params.w_feat)
     assert np.array_equal(back.params.w_class, ck.params.w_class)
     assert back.params.w_dom is None
-    assert back.optimizer is None
 
 
 def test_round_trip_full(tmp_path):
@@ -93,12 +82,6 @@ def test_round_trip_full(tmp_path):
     assert np.array_equal(back.params.w_dom, ck.params.w_dom)
     assert back.channel_names == ck.channel_names
     assert back.global_pairs == [("E0", "E4")]
-    opt = back.optimizer
-    assert opt.t == 2
-    assert opt.cfg == ck.optimizer.cfg
-    for name in ("adj", "w_feat", "w_class", "w_dom"):
-        assert np.array_equal(opt.m[name], ck.optimizer.m[name])
-        assert np.array_equal(opt.v[name], ck.optimizer.v[name])
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -119,14 +102,14 @@ def test_reload_resaves_identically(tmp_path):
 
 def test_header_is_one_json_line(tmp_path):
     path = tmp_path / "h.ckpt"
-    save_checkpoint(path, sample_ckpt(optimizer=False))
+    save_checkpoint(path, sample_ckpt())
     head = path.read_bytes().split(b"\n", 1)[0]
     doc = json.loads(head)
     assert doc["format"] == "eegraph-checkpoint"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["model"]["n_channels"] == 5
     assert doc["has_domain_head"] is True
-    assert doc["optimizer"] is None
+    assert "optimizer" not in doc
 
 
 def test_missing_file(tmp_path):
@@ -144,12 +127,14 @@ def test_not_a_checkpoint(tmp_path):
         load_checkpoint(p)
 
 
-def test_unsupported_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_unsupported_version(tmp_path, version):
+    # version 1 carried optimizer moments after the weights; it is rejected
     path = tmp_path / "v.ckpt"
-    save_checkpoint(path, sample_ckpt(optimizer=False))
+    save_checkpoint(path, sample_ckpt())
     head, body = path.read_bytes().split(b"\n", 1)
     doc = json.loads(head)
-    doc["version"] = 99
+    doc["version"] = version
     path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
     with pytest.raises(CorruptBundleError):
         load_checkpoint(path)
@@ -177,7 +162,7 @@ def test_trailing_bytes_detected(tmp_path):
 
 def test_header_body_mismatch(tmp_path):
     path = tmp_path / "mm.ckpt"
-    save_checkpoint(path, sample_ckpt(optimizer=False))
+    save_checkpoint(path, sample_ckpt())
     head, body = path.read_bytes().split(b"\n", 1)
     doc = json.loads(head)
     doc["model"]["n_channels"] = 9

@@ -7,12 +7,9 @@ from eegraph.electrodes import (
     GlobalPairSet,
     builtin_layout,
     calibrate_delta,
-    central_global_pairs,
-    correlation_adjacency,
     default_global_pairs,
     init_local_adjacency,
     initial_adjacency,
-    lateral_global_pairs,
     load_global_pairs,
     load_layout,
     pairwise_distances,
@@ -128,14 +125,6 @@ def test_default_pair_set_is_the_documented_nine():
     assert default_global_pairs().pairs == DEFAULT_PAIRS
 
 
-def test_alternate_pair_sets_resolve():
-    lay = builtin_layout()
-    for pairs in (central_global_pairs(), lateral_global_pairs()):
-        resolved = pairs.resolve(lay)
-        assert len(resolved) == len(pairs.pairs)
-        assert all(i != j for i, j in resolved)
-
-
 def test_sparsity_identity_is_zero():
     assert sparsity_fraction(np.eye(6)) == 0.0
 
@@ -170,38 +159,6 @@ def test_calibration_tracks_requested_target():
     for target in (0.1, 0.2, 0.4):
         frac = sparsity_fraction(init_local_adjacency(d, calibrate_delta(d, target)))
         assert abs(frac - target) < 0.02
-
-
-def test_correlation_copied_channel():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(50, 3, 2))
-    x[:, 1, :] = x[:, 0, :]
-    adj = correlation_adjacency(x)
-    assert adj.full()[0, 1] == pytest.approx(1.0)
-
-
-def test_correlation_negated_channel():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(50, 2, 2))
-    x[:, 1, :] = -x[:, 0, :]
-    assert correlation_adjacency(x).full()[0, 1] == pytest.approx(1.0)
-
-
-def test_correlation_independent_noise_near_zero():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(10_000, 4, 1))
-    full = correlation_adjacency(x).full()
-    off = full[~np.eye(4, dtype=bool)]
-    assert np.abs(off).max() < 0.05
-
-
-def test_correlation_constant_channel():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(30, 3, 2))
-    x[:, 2, :] = 1.5
-    full = correlation_adjacency(x).full()
-    assert full[2, 2] == 1.0
-    assert full[2, 0] == 0.0 and full[0, 2] == 0.0
 
 
 def test_layout_file_round_trip(tmp_path):

@@ -1,4 +1,6 @@
 """Analytic backward passes against central differences."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,7 +145,7 @@ def test_class_backward_matches_finite_difference():
 def test_class_backward_respects_dropout_mask():
     params, x = build(5)
     mask = sample_dropout_mask(np.random.default_rng(6), (3, CFG.hidden_dim), 0.5)
-    cfg = CFG.with_(dropout=0.5)
+    cfg = replace(CFG, dropout=0.5)
     targets = convert_labels(np.array([0, 0, 1]), "seed3", 0.0)
 
     def loss(p):

@@ -1,5 +1,5 @@
 """Forward pass, dropout, and the two domain head variants."""
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -87,7 +87,7 @@ def test_forward_trace_shapes():
     x = np.random.default_rng(1).normal(size=(7, 6, 4))
     tr = forward(CFG, p, x)
     assert tr.prop.shape == (6, 6)
-    assert len(tr.hidden) == CFG.steps + 1
+    assert len(tr.hops) == CFG.steps + 1
     assert tr.z.shape == (7, 6, 5)
     assert tr.pooled.shape == (7, 5)
     assert tr.logits.shape == (7, 3)
@@ -115,10 +115,10 @@ def test_hidden_chain_matches_propagate():
     x = np.random.default_rng(4).normal(size=(3, 6, 4))
     tr = forward(CFG, p, x)
     h0 = x @ p.w_feat
-    assert np.array_equal(tr.hidden[0], h0)
+    assert np.array_equal(tr.hops[0] @ p.w_feat, h0)
     s = normalized_propagator(p.adj)
     for k in range(1, CFG.steps + 1):
-        assert np.allclose(tr.hidden[k], propagate(s, h0, k), atol=1e-12)
+        assert np.allclose(tr.hops[k] @ p.w_feat, propagate(s, h0, k), atol=1e-12)
 
 
 def test_trace_keeps_no_hidden_width_hop():
@@ -136,7 +136,7 @@ def test_trace_keeps_no_hidden_width_hop():
 
 
 def test_single_step_is_one_smoothing_application():
-    cfg = CFG.with_(steps=1)
+    cfg = replace(CFG, steps=1)
     p = make_params(cfg=cfg)
     x = np.random.default_rng(5).normal(size=(2, 6, 4))
     tr = forward(cfg, p, x)
@@ -188,7 +188,7 @@ def test_dropout_rate_zero_keeps_everything():
 
 def test_dropout_is_unbiased_on_average():
     # inverted scaling keeps the expected pooled value unchanged
-    cfg = CFG.with_(dropout=0.5)
+    cfg = replace(CFG, dropout=0.5)
     p = make_params(cfg=cfg)
     x = np.random.default_rng(12).normal(size=(1, 6, 4))
     rng = np.random.default_rng(13)
