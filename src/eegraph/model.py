@@ -6,7 +6,9 @@ rectified, sum-pooled over channels, and classified. Propagating first
 is the simple-graph-convolution order (S^K X) W: it equals S^K (X W),
 but the hop chain runs in the narrow band width. Every intermediate
 needed by the backward pass is kept on a trace object so gradients never
-recompute the forward.
+recompute the forward. Prediction runs the same forward over bounded row
+chunks and keeps no trace past a chunk, so its memory does not grow with
+the number of rows.
 """
 from __future__ import annotations
 
@@ -18,6 +20,10 @@ from .electrodes import ElectrodeLayout, GlobalPairSet, initial_adjacency
 from .errors import ConfigError
 from .graph import SymmetricAdjacency, normalized_propagator
 from .params import ModelConfig, ParamSet, xavier_init
+
+# Float64 elements in one (rows, n_channels, hidden_dim) array of a
+# prediction chunk (2 MiB); sets how many rows one forward evaluates.
+EVAL_CHUNK_ELEMENTS = 1 << 18
 
 
 def relu(a: np.ndarray) -> np.ndarray:
@@ -170,8 +176,26 @@ def domain_forward(params: ParamSet, trace: ForwardTrace, level: str = "node") -
 
 
 def predict_proba(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Class probabilities with dropout off."""
-    return forward(cfg, params, x).probs
+    """Class probabilities with dropout off, in bounded row chunks.
+
+    A (samples, channels, bands) stack runs through `forward` a chunk of
+    rows at a time, each chunk's hidden-width arrays holding at most
+    `EVAL_CHUNK_ELEMENTS` elements (one row if a row alone is larger), and
+    keeps only the chunks' `probs`. Rows widen to float64 one chunk at a
+    time. The hidden-width arrays are bitwise those of one forward over
+    all rows; the probabilities may differ from it in the last bits,
+    because BLAS can order the sums of the (rows, hidden) @ (hidden,
+    classes) head product differently for another row count.
+    """
+    x = np.asarray(x)
+    if x.ndim != 3:
+        # a single (channels, bands) sample, or a shape forward rejects
+        return forward(cfg, params, x).probs
+    rows = max(1, EVAL_CHUNK_ELEMENTS // (cfg.n_channels * cfg.hidden_dim))
+    # an empty stack still runs one (empty) chunk, for its shape checks
+    return np.concatenate(
+        [forward(cfg, params, x[i : i + rows]).probs for i in range(0, max(len(x), 1), rows)]
+    )
 
 
 def predict(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:

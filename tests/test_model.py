@@ -1,13 +1,17 @@
 """Forward pass, dropout, and the two domain head variants."""
+import tracemalloc
 from dataclasses import fields, replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from eegraph.electrodes import ring_layout
 from eegraph.errors import ConfigError
 from eegraph.graph import SymmetricAdjacency, normalized_propagator, propagate
 from eegraph.model import (
+    EVAL_CHUNK_ELEMENTS,
     domain_forward,
     forward,
     init_params,
@@ -259,3 +263,74 @@ def test_forward_determinism():
     a = forward(CFG, p, x)
     b = forward(CFG, p, x)
     assert np.array_equal(a.probs, b.probs)
+
+
+# the seed62_wide shape (66 rows per prediction chunk) and the gate shape (8192)
+CHUNK_SHAPES = {
+    "n62_h64": ModelConfig(n_channels=62, in_dim=5, hidden_dim=64, n_classes=3, steps=2),
+    "gate": ModelConfig(n_channels=4, in_dim=5, hidden_dim=8, n_classes=4, steps=2),
+}
+
+
+def rows_per_chunk(cfg):
+    return max(1, EVAL_CHUNK_ELEMENTS // (cfg.n_channels * cfg.hidden_dim))
+
+
+def with_boundary_examples(test):
+    """Pin the row counts 0, 1, rows - 1, rows, rows + 1 and 2 rows + 1 on both shapes."""
+    for shape in CHUNK_SHAPES:
+        for chunks, extra in [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]:
+            for f32 in (False, True):
+                test = example(shape=shape, chunks=chunks, extra=extra, f32=f32)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    shape=st.sampled_from(sorted(CHUNK_SHAPES)),
+    chunks=st.integers(0, 2),
+    extra=st.integers(-1, 1),
+    f32=st.booleans(),
+)
+@with_boundary_examples
+def test_chunked_predict_matches_one_forward(shape, chunks, extra, f32):
+    cfg = CHUNK_SHAPES[shape]
+    count = max(0, chunks * rows_per_chunk(cfg) + extra)
+    p = make_params(seed=3, cfg=cfg)
+    x = np.random.default_rng(count).normal(scale=3.0, size=(count, cfg.n_channels, cfg.in_dim))
+    if f32:
+        x = x.astype(np.float32)
+    ref = forward(cfg, p, x).probs
+    probs = predict_proba(cfg, p, x)
+    # Every hidden-width array is bitwise per row, but BLAS may sum the
+    # (rows, hidden) @ (hidden, classes) head in another order when the
+    # row count changes, so the probabilities agree to rounding only.
+    assert probs.shape == ref.shape
+    np.testing.assert_allclose(probs, ref, rtol=0.0, atol=1e-12)
+    labels = predict(cfg, p, x)
+    assert np.array_equal(labels, probs.argmax(axis=1))
+    assert np.array_equal(labels, ref.argmax(axis=1))
+
+
+@pytest.mark.parametrize("shape", sorted(CHUNK_SHAPES))
+def test_chunked_predict_single_sample(shape):
+    cfg = CHUNK_SHAPES[shape]
+    p = make_params(seed=3, cfg=cfg)
+    x = np.random.default_rng(8).normal(size=(cfg.n_channels, cfg.in_dim)).astype(np.float32)
+    probs = predict_proba(cfg, p, x)
+    assert np.array_equal(probs, forward(cfg, p, x[None]).probs)
+    assert np.array_equal(predict(cfg, p, x), probs.argmax(axis=1))
+
+
+def test_predict_memory_is_bounded_by_the_chunk():
+    # one forward over all 2400 rows would hold two 76 MB hidden-width arrays
+    cfg = CHUNK_SHAPES["n62_h64"]
+    p = make_params(cfg=cfg)
+    x = np.random.default_rng(0).normal(size=(2400, cfg.n_channels, cfg.in_dim))
+    tracemalloc.start()
+    try:
+        predict(cfg, p, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
