@@ -102,6 +102,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptBundleError(f"{p}: bad header ({exc})") from None
+    if not isinstance(header, dict):
+        raise CorruptBundleError(f"{p}: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise CorruptBundleError(f"{p}: not a checkpoint file")
     if header.get("version") != FORMAT_VERSION:

@@ -4,14 +4,16 @@ finite-difference checker that keeps them honest.
 The computation graph never changes shape, so each adjoint is written out
 by hand instead of taping operations. The classifier and the domain head
 reach the shared parameters through the same propagation chain, so a
-training step combines their gradients at the node features z and runs
-one backward through the chain (`step_directions`), built from
+training step takes one forward trace of the source rows with the target
+rows stacked behind them, combines both gradients at its node features z
+and runs one backward through the chain (`step_directions`), built from
 GEMMs only. `class_backward` and `domain_backward` give each objective's
 own gradient through that same backward. Subgradients at the ReLU and
 absolute-value kinks are taken as 0. Everything runs in float64.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -23,40 +25,32 @@ from .model import DomainTrace, ForwardTrace, domain_forward, forward, sample_dr
 from .params import GradientSet, ModelConfig, ParamSet
 
 
-def _wide(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    """Lay (rows, n, d) blocks side by side as one (n, total_rows * d) matrix."""
-    return np.concatenate([block.transpose(1, 0, 2) for block in blocks], axis=1).reshape(n, -1)
-
-
 def _shared_backward(
     cfg: ModelConfig,
     params: ParamSet,
-    rows: list[tuple[ForwardTrace, np.ndarray]],
+    trace: ForwardTrace,
+    g_z: np.ndarray,
     alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Push gradients at z back to the shared parameters (packed adj, w_feat).
+    """Push the gradient at z back to the shared parameters (packed adj, w_feat).
 
-    `rows` pairs each forward trace with the gradient at its features z =
-    (S^K x) W. The projection comes last in the forward, so its gradient is
-    one GEMM over all rows, and one GEMM by W^T takes the gradient down to
-    the band width before the hop chain. Every block shares S, so the
-    band-width blocks are laid out as (n, rows * in_dim) matrices: each hop
-    costs one GEMM for the propagator gradient and one for the chain (none
-    after the first hop, since nothing reads the gradient at x), and the
-    normalization adjoint runs once for all of them. Adds the L1
-    subgradient of weight alpha. The traces must come from a forward pass
-    on `params`.
+    `g_z` is the gradient at z = (S^K x) W of the trace's leading rows;
+    rows past it get none and are not read. The projection comes last in
+    the forward, so its gradient is one GEMM over all rows, and one GEMM
+    by W^T takes the gradient down to the band width before the hop chain.
+    The band-width rows are laid out as (n, rows * in_dim) matrices: each
+    hop costs one GEMM for the propagator gradient and one for the chain
+    (none after the first hop, since nothing reads the gradient at x), and
+    the normalization adjoint runs once. Adds the L1 subgradient of weight
+    alpha. The trace must come from a forward pass on `params`.
     """
-    n = cfg.n_channels
-    traces = [trace for trace, _ in rows]
-    prop = traces[0].prop
-    g_z = np.concatenate([g for _, g in rows]).reshape(-1, cfg.hidden_dim)
-    top = np.concatenate([trace.hops[-1] for trace in traces]).reshape(-1, cfg.in_dim)
-    g_w_feat = top.T @ g_z
-    g_h = _wide([(g_z @ params.w_feat.T).reshape(-1, n, cfg.in_dim)], n)
+    prop, n, rows = trace.prop, cfg.n_channels, len(g_z)
+    g_z = g_z.reshape(-1, cfg.hidden_dim)
+    g_w_feat = trace.hops[-1][:rows].reshape(-1, cfg.in_dim).T @ g_z
+    g_h = (g_z @ params.w_feat.T).reshape(rows, n, -1).transpose(1, 0, 2).reshape(n, -1)
     g_prop = np.zeros_like(prop)
     for hop in range(cfg.steps, 0, -1):
-        g_prop += g_h @ _wide([trace.hops[hop - 1] for trace in traces], n).T
+        g_prop += g_h @ trace.hops[hop - 1][:rows].transpose(1, 0, 2).reshape(n, -1).T
         if hop > 1:
             g_h = prop.T @ g_h
 
@@ -89,7 +83,7 @@ def l1_subgradient(adj: SymmetricAdjacency, alpha: float) -> np.ndarray:
 def _class_head_backward(
     params: ParamSet, trace: ForwardTrace, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classifier-head gradient and the summed KL's gradient at z."""
+    """Classifier-head gradient and the summed KL's gradient at the source rows' z."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.probs.shape:
         raise ConfigError(f"targets shape {targets.shape} != probs {trace.probs.shape}")
@@ -101,26 +95,31 @@ def _class_head_backward(
     # sum pooling hands every node the pooled gradient; the ReLU gates it by
     # a multiply, so a non-finite gradient at a dead unit stays NaN for
     # adam_step's precheck to report
-    return g_w_class, (trace.z > 0.0) * g_pooled[:, None, :]
+    return g_w_class, (trace.z[: len(g_pooled)] > 0.0) * g_pooled[:, None, :]
 
 
 def _domain_head_backward(
-    params: ParamSet, trace: ForwardTrace, dom: DomainTrace, domain_index: int
+    params: ParamSet, trace: ForwardTrace, dom: DomainTrace, n_source: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Domain-head gradient and the discrimination loss's gradient at z."""
+    """Domain-head gradient and the discrimination loss's gradient at z.
+
+    Rows below `n_source` are source (domain 0), the rest target (domain 1).
+    The head's gradient sums a source GEMM and a target GEMM, in that
+    order, so it does not depend on how the rows were stacked.
+    """
+    if params.w_dom is None:
+        raise ConfigError("domain gradients requested without a domain head")
     g_dlogits = dom.probs.copy()
-    g_dlogits[..., domain_index] -= 1.0
+    g_dlogits[:n_source, ..., 0] -= 1.0
+    g_dlogits[n_source:, ..., 1] -= 1.0
+    src, tgt = slice(None, n_source), slice(n_source, None)
     hidden = params.w_dom.shape[0]
-    g_w_dom = dom.inputs.reshape(-1, hidden).T @ g_dlogits.reshape(-1, 2)
+    g_w_dom = (dom.inputs[src].reshape(-1, hidden).T @ g_dlogits[src].reshape(-1, 2)
+               + dom.inputs[tgt].reshape(-1, hidden).T @ g_dlogits[tgt].reshape(-1, 2))
     g_inputs = g_dlogits @ params.w_dom.T
     if dom.level == "graph":
         g_inputs = g_inputs[:, None, :]
     return g_w_dom, (trace.z > 0.0) * g_inputs
-
-
-def _require_domain_head(params: ParamSet) -> None:
-    if params.w_dom is None:
-        raise ConfigError("domain gradients requested without a domain head")
 
 
 def class_backward(
@@ -136,7 +135,7 @@ def class_backward(
     the domain head slot stays None.
     """
     g_w_class, g_z = _class_head_backward(params, trace, targets)
-    g_adj, g_w_feat = _shared_backward(cfg, params, [(trace, g_z)], alpha)
+    g_adj, g_w_feat = _shared_backward(cfg, params, trace, g_z, alpha)
     return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=None)
 
 
@@ -148,15 +147,16 @@ def domain_backward(
 ) -> GradientSet:
     """Gradient of the source/target discrimination loss.
 
-    Both domains share the adjacency and feature transform, so their
-    gradients at z go through one shared backward. The classifier head is
-    untouched (zeros).
+    Both domains share the adjacency and feature transform, so their hop
+    chains are stacked, source rows first, and their gradients at z go
+    through one shared backward. The classifier head is untouched (zeros).
     """
-    _require_domain_head(params)
-    g_w_dom_src, g_z_src = _domain_head_backward(params, *source, 0)
-    g_w_dom_tgt, g_z_tgt = _domain_head_backward(params, *target, 1)
+    (src, src_dom), (tgt, tgt_dom) = source, target
+    g_w_dom_src, g_z_src = _domain_head_backward(params, src, src_dom, len(src.z))
+    g_w_dom_tgt, g_z_tgt = _domain_head_backward(params, tgt, tgt_dom, 0)
+    stacked = replace(src, hops=[np.concatenate(pair) for pair in zip(src.hops, tgt.hops)])
     g_adj, g_w_feat = _shared_backward(
-        cfg, params, [(source[0], g_z_src), (target[0], g_z_tgt)], 0.0
+        cfg, params, stacked, np.concatenate([g_z_src, g_z_tgt]), 0.0
     )
     return GradientSet(
         adj=g_adj,
@@ -172,7 +172,7 @@ def step_directions(
     trace: ForwardTrace,
     targets: np.ndarray,
     alpha: float,
-    domain: tuple[DomainTrace, ForwardTrace, DomainTrace] | None = None,
+    domain: DomainTrace | None = None,
     beta: float = 0.0,
 ) -> GradientSet:
     """Per-parameter update directions of one training step.
@@ -181,26 +181,22 @@ def step_directions(
     L1) and the domain head descends its own loss. The shared parameters
     follow the classification gradient minus beta times the domain
     gradient (the reversal); both reach them through the same propagation
-    chain, so the two are combined at z (source rows: class minus beta
-    times domain; target rows: minus beta times domain) and pushed back
-    in one shared backward. `domain` is (source domain trace, target
-    forward trace, target domain trace), or None with the domain path
-    off. At beta = 0 the target rows are skipped and the source rows carry
-    the class gradient verbatim, so a reversal-disabled step is
-    bit-identical to one with no domain path at all.
+    chain, so the two are combined at z (source rows, below len(targets):
+    class minus beta times domain; target rows: minus beta times domain)
+    and pushed back in one shared backward. `trace` holds the target rows
+    behind the source rows and `domain` is its domain-head trace, or None
+    with the domain path off. At beta = 0 the target rows are skipped and
+    the source rows carry the class gradient verbatim, so a
+    reversal-disabled step is bit-identical to one with no domain path.
     """
     g_w_class, g_z = _class_head_backward(params, trace, targets)
-    rows = [(trace, g_z)]
     g_w_dom = None
     if domain is not None:
-        _require_domain_head(params)
-        src_dom, tgt_trace, tgt_dom = domain
-        g_w_dom_src, g_z_src = _domain_head_backward(params, trace, src_dom, 0)
-        g_w_dom_tgt, g_z_tgt = _domain_head_backward(params, tgt_trace, tgt_dom, 1)
-        g_w_dom = g_w_dom_src + g_w_dom_tgt
+        b = len(g_z)
+        g_w_dom, g_z_dom = _domain_head_backward(params, trace, domain, b)
         if beta != 0.0:
-            rows = [(trace, g_z - beta * g_z_src), (tgt_trace, -beta * g_z_tgt)]
-    g_adj, g_w_feat = _shared_backward(cfg, params, rows, alpha)
+            g_z = np.concatenate([g_z - beta * g_z_dom[:b], -beta * g_z_dom[b:]])
+    g_adj, g_w_feat = _shared_backward(cfg, params, trace, g_z, alpha)
     return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=g_w_dom)
 
 
@@ -287,9 +283,10 @@ def model_grad_check(
     the directions `step_directions` hands the optimizer: the classifier
     head against the classification objective, the domain head against the
     domain objective, and the shared parameters against classification
-    minus beta times domain. Instances whose pre-activations sit within
-    10h of a ReLU kink are redrawn. `corrupt` names a tensor whose
-    analytic gradient gets deliberately damaged (negative-control hook).
+    minus beta times domain. The directions come from one stacked forward,
+    the losses from separate source and target forwards. Instances whose
+    pre-activations sit within 10h of a ReLU kink are redrawn. `corrupt`
+    names a tensor whose analytic gradient gets damaged (negative control).
     """
     if size == "small":
         cfg = ModelConfig(n_channels=3, in_dim=2, hidden_dim=2, n_classes=2, steps=1)
@@ -301,15 +298,10 @@ def model_grad_check(
         raise ConfigError(f"unknown check size {size!r}")
     scheme = "seed3" if cfg.n_classes == 3 else cfg.n_classes
 
-    attempt_seed = seed
-    for _ in range(50):
+    for attempt_seed in range(seed, seed + 50):
         params, x_src, x_tgt, labels, mask = _random_check_instance(cfg, attempt_seed, batch)
-        src = forward(cfg, params, x_src, mask=mask)
-        tgt = forward(cfg, params, x_tgt)
-        near_kink = min(np.abs(src.z).min(), np.abs(tgt.z).min()) < 10.0 * h
-        if not near_kink:
+        if np.abs(forward(cfg, params, x_src, target=x_tgt).z).min() >= 10.0 * h:
             break
-        attempt_seed += 1
     else:
         raise ConfigError("could not draw a kink-free instance")
 
@@ -331,10 +323,8 @@ def model_grad_check(
         return phi_class(p) - beta * phi_domain(p)
 
     def directions(p: ParamSet) -> GradientSet:
-        s = forward(cfg, p, x_src, mask=mask)
-        t = forward(cfg, p, x_tgt)
-        domain = (domain_forward(p, s, "node"), t, domain_forward(p, t, "node"))
-        g = step_directions(cfg, p, s, targets, alpha, domain, beta)
+        tr = forward(cfg, p, x_src, mask=mask, target=x_tgt)
+        g = step_directions(cfg, p, tr, targets, alpha, domain_forward(p, tr, "node"), beta)
         if corrupt is not None:
             g.tensors()[corrupt] += 1e-2
         return g

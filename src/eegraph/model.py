@@ -82,13 +82,13 @@ def sample_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: 
 
 @dataclass
 class ForwardTrace:
-    """Everything the classifier computed for one batch."""
+    """Everything the classifier computed for b source rows, then any target rows."""
 
     prop: np.ndarray           # (n, n) normalized propagator
-    hops: list[np.ndarray]     # x, Sx, ..., S^steps x, each (b, n, in_dim)
-    z: np.ndarray              # (b, n, hidden_dim) (S^steps x) W: propagated, then projected
-    relu_z: np.ndarray         # (b, n, hidden_dim)
-    pooled: np.ndarray         # (b, hidden_dim), pre-dropout
+    hops: list[np.ndarray]     # x, Sx, ..., S^steps x, each (rows, n, in_dim)
+    z: np.ndarray              # (rows, n, hidden_dim) (S^steps x) W: propagated, then projected
+    relu_z: np.ndarray         # (rows, n, hidden_dim)
+    pooled: np.ndarray         # (rows, hidden_dim), pre-dropout
     mask: np.ndarray | None    # (b, hidden_dim) keep mask, None in eval
     keep_scale: float          # 1 / (1 - dropout) when mask is set, else 1
     pooled_drop: np.ndarray    # (b, hidden_dim) fed to the classifier
@@ -96,19 +96,8 @@ class ForwardTrace:
     probs: np.ndarray          # (b, n_classes)
 
 
-def forward(
-    cfg: ModelConfig,
-    params: ParamSet,
-    x: np.ndarray,
-    *,
-    mask: np.ndarray | None = None,
-) -> ForwardTrace:
-    """Run the classifier on a (batch, channels, bands) feature stack.
-
-    Pass a dropout keep mask to train; omit it to evaluate. The mask is
-    sampled by the caller so a fixed mask can be replayed under gradient
-    checks and ablation comparisons.
-    """
+def _feature_rows(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
+    """Float64 (rows, channels, bands) features; a 2-D sample is one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[None]
@@ -117,6 +106,29 @@ def forward(
             f"features of shape {x.shape} do not match "
             f"({cfg.n_channels} channels, {cfg.in_dim} bands)"
         )
+    return x
+
+
+def forward(
+    cfg: ModelConfig,
+    params: ParamSet,
+    x: np.ndarray,
+    *,
+    mask: np.ndarray | None = None,
+    target: np.ndarray | None = None,
+) -> ForwardTrace:
+    """Run the classifier on a (batch, channels, bands) feature stack.
+
+    Pass a dropout keep mask to train; omit it to evaluate. The mask is
+    sampled by the caller so a fixed mask can be replayed under gradient
+    checks and ablation comparisons. Any `target` rows run behind the rows
+    of `x` through propagation, projection, ReLU and pooling, bitwise per
+    row, for the domain head; the mask and the classifier see only `x`.
+    """
+    x = _feature_rows(cfg, x)
+    b = len(x)
+    if target is not None:
+        x = np.concatenate([x, _feature_rows(cfg, target)])
     prop = normalized_propagator(params.adj)
     hops = [x]
     for _ in range(cfg.steps):
@@ -124,14 +136,13 @@ def forward(
     z = np.matmul(hops[-1], params.w_feat)
     relu_z = relu(z)
     pooled = relu_z.sum(axis=1)
+    keep_scale = 1.0
+    pooled_drop = pooled[:b]
     if mask is not None:
-        if mask.shape != pooled.shape:
-            raise ConfigError(f"dropout mask shape {mask.shape} != pooled {pooled.shape}")
+        if mask.shape != pooled_drop.shape:
+            raise ConfigError(f"dropout mask shape {mask.shape} != pooled {pooled_drop.shape}")
         keep_scale = 1.0 / (1.0 - cfg.dropout)
-        pooled_drop = pooled * mask * keep_scale
-    else:
-        keep_scale = 1.0
-        pooled_drop = pooled
+        pooled_drop = pooled_drop * mask * keep_scale
     logits = pooled_drop @ params.w_class
     return ForwardTrace(
         prop=prop,

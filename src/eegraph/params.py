@@ -58,14 +58,6 @@ class ParamSet:
         if self.w_dom is not None and self.w_dom.shape != (cfg.hidden_dim, 2):
             raise ConfigError(f"w_dom shape {self.w_dom.shape} != {(cfg.hidden_dim, 2)}")
 
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            adj=self.adj.copy(),
-            w_feat=self.w_feat.copy(),
-            w_class=self.w_class.copy(),
-            w_dom=None if self.w_dom is None else self.w_dom.copy(),
-        )
-
     def tensors(self) -> dict[str, np.ndarray]:
         """Flat parameter vectors/matrices keyed by name, adjacency packed."""
         out = {"adj": self.adj.upper, "w_feat": self.w_feat, "w_class": self.w_class}
@@ -97,9 +89,6 @@ class GradientSet:
         if self.w_dom is not None:
             out["w_dom"] = self.w_dom
         return out
-
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.tensors().values())
 
 
 def xavier_limit(fan_in: int, fan_out: int) -> float:

@@ -1,10 +1,11 @@
 """The training loop: batching, dual objectives, reversal schedule, Adam.
 
-Each batch recomputes the propagator from the current adjacency, runs the
-classifier on labeled source samples and (when enabled) the domain head
-on paired source/target batches, gets the update directions of both
-objectives under the reversal schedule from one fused backward, and takes
-one Adam step. Runs are bit-reproducible: every random draw comes from a
+Each batch runs one forward from the current adjacency: the labeled
+source samples and, when enabled, a paired target batch stacked behind
+them. The classifier reads the source rows and one domain-head call reads
+all rows; one fused backward gives the update directions of both
+objectives under the reversal schedule, and one Adam step applies them.
+Runs are bit-reproducible: every random draw comes from a
 child stream of the run seed, and the same children are spawned whether
 or not the domain path is active.
 """
@@ -194,11 +195,13 @@ def train(
         kl_sum = l1_sum = dom_sum = 0.0
         beta = 0.0
         for b in range(batches_per_epoch):
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+            idx = order[rows]
             x = train_ds.features[idx]
             targets = targets_all[idx]
             mask = sample_dropout_mask(dropout_rng, (len(idx), cfg.hidden_dim), cfg.dropout)
-            trace = forward(model_cfg, params, x, mask=mask)
+            tx = epoch_target.features[rows] if cfg.uses_domain else None
+            trace = forward(model_cfg, params, x, mask=mask, target=tx)
             kl = kl_loss(trace.probs, targets)
             l1 = l1_penalty(params.adj, cfg.alpha)
 
@@ -206,12 +209,8 @@ def train(
             domain = None
             if cfg.uses_domain:
                 beta = float(grl_beta(done_batches / total_batches))
-                tx = epoch_target.features[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                tgt_trace = forward(model_cfg, params, tx)
-                src_dom = domain_forward(params, trace, cfg.domain_level)
-                tgt_dom = domain_forward(params, tgt_trace, cfg.domain_level)
-                dom = domain_loss(src_dom.probs, tgt_dom.probs)
-                domain = (src_dom, tgt_trace, tgt_dom)
+                domain = domain_forward(params, trace, cfg.domain_level)
+                dom = domain_loss(domain.probs[: len(idx)], domain.probs[len(idx) :])
 
             if not np.isfinite(kl + l1 + dom):
                 raise DivergenceError(

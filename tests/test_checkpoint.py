@@ -127,6 +127,15 @@ def test_not_a_checkpoint(tmp_path):
         load_checkpoint(p)
 
 
+@pytest.mark.parametrize("header", [b"[1]", b"7", b"null", b'"x"'])
+def test_header_must_be_a_json_object(tmp_path, header):
+    path = tmp_path / "h.ckpt"
+    save_checkpoint(path, sample_ckpt())
+    path.write_bytes(header + b"\n" + path.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(CorruptBundleError):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("version", [1, 99])
 def test_unsupported_version(tmp_path, version):
     # version 1 carried optimizer moments after the weights; it is rejected

@@ -245,6 +245,13 @@ def test_inspect_missing_checkpoint(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_inspect_rejects_a_header_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(b"[1]\n")
+    assert main(["inspect", "--checkpoint", str(path)]) == EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
 def test_inspect_rejects_oversized_k(bundle, tmp_path, capsys):
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps(TRAIN_DOC))

@@ -227,6 +227,11 @@ def assert_same_directions(got, ref, exact, rtol=1e-12):
             assert err <= rtol * np.abs(want).max(), name
 
 
+def domain_rows(dom, rows):
+    """The domain-head trace of a slice of its rows."""
+    return replace(dom, inputs=dom.inputs[rows], logits=dom.logits[rows], probs=dom.probs[rows])
+
+
 @pytest.mark.parametrize("n", [4, 62])
 @pytest.mark.parametrize("batch", [1, 16])
 @pytest.mark.parametrize("steps", [1, 2, 3])
@@ -246,15 +251,19 @@ def test_step_directions_match_composed_backwards(n, batch, steps, masked):
     alpha = 0.01
     src = forward(cfg, params, xs, mask=mask)
     tgt = forward(cfg, params, xt)
+    stacked = forward(cfg, params, xs, mask=mask, target=xt)
     cls = class_backward(cfg, params, src, targets, alpha)
 
     off = step_directions(cfg, params, src, targets, alpha)
     assert_same_directions(off, composite_directions(cls, None, 0.0), exact=True)
     for level in ("node", "graph"):
-        sd, td = domain_forward(params, src, level), domain_forward(params, tgt, level)
-        dom = domain_backward(cfg, params, (src, sd), (tgt, td))
+        domain = domain_forward(params, stacked, level)
+        # the reference reads the stacked domain head's halves, so the
+        # domain head's own gradient is bitwise at every level
+        dom = domain_backward(cfg, params, (src, domain_rows(domain, slice(None, batch))),
+                              (tgt, domain_rows(domain, slice(batch, None))))
         for beta in (0.0, 0.3, 1.0):
-            got = step_directions(cfg, params, src, targets, alpha, (sd, tgt, td), beta)
+            got = step_directions(cfg, params, stacked, targets, alpha, domain, beta)
             ref = composite_directions(cls, dom, beta)
             assert_same_directions(got, ref, exact=beta == 0.0)
 
@@ -350,15 +359,15 @@ def test_step_directions_match_project_first_reference(n, batch, steps, masked):
     targets = convert_labels(rng.integers(0, 3, size=batch), "seed3", 0.2)
     alpha = 0.01
     src = forward(cfg, params, xs, mask=mask)
-    tgt = forward(cfg, params, xt)
+    stacked = forward(cfg, params, xs, mask=mask, target=xt)
 
     assert_same_directions(step_directions(cfg, params, src, targets, alpha),
                            project_first_reference(cfg, params, xs, mask, targets, alpha),
                            exact=False, rtol=1e-10)
     for level in ("node", "graph"):
-        domain = (domain_forward(params, src, level), tgt, domain_forward(params, tgt, level))
+        domain = domain_forward(params, stacked, level)
         for beta in (0.0, 0.3):
-            got = step_directions(cfg, params, src, targets, alpha, domain, beta)
+            got = step_directions(cfg, params, stacked, targets, alpha, domain, beta)
             ref = project_first_reference(cfg, params, xs, mask, targets, alpha, xt, level, beta)
             assert_same_directions(got, ref, exact=False, rtol=1e-10)
 
@@ -373,9 +382,10 @@ def test_forward_z_matches_project_first_chain():
 
 
 def test_step_directions_need_a_domain_head():
-    params, x = build(14)
-    tr = forward(CFG, params, x)
-    dom = (None, tr, None)
+    params, x = build(14, domain_head=True)
+    tr = forward(CFG, params, x, target=x)
+    dom = domain_forward(params, tr)
+    params.w_dom = None
     targets = convert_labels(np.array([0, 1, 2]), "seed3", 0.0)
     with pytest.raises(ConfigError):
         step_directions(CFG, params, tr, targets, 0.0, dom, 0.5)

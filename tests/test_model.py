@@ -113,6 +113,52 @@ def test_forward_rejects_wrong_channel_count():
         forward(CFG, p, np.zeros((2, 6, 3)))
 
 
+@pytest.mark.parametrize("n", [4, 62])
+@pytest.mark.parametrize("hidden", [8, 16, 64])
+@pytest.mark.parametrize("batch", [1, 3, 5, 12, 13, 129])
+def test_stacked_forward_matches_separate_forwards(n, hidden, batch):
+    cfg = ModelConfig(n_channels=n, in_dim=5, hidden_dim=hidden, n_classes=3, steps=2,
+                      dropout=0.5)
+    p = make_params(seed=n + hidden, domain_head=True, cfg=cfg)
+    rng = np.random.default_rng(batch)
+    xs = rng.normal(size=(batch, n, cfg.in_dim))
+    xt = rng.normal(size=(batch, n, cfg.in_dim))
+    mask = sample_dropout_mask(rng, (batch, hidden), cfg.dropout)
+    stacked = forward(cfg, p, xs, mask=mask, target=xt)
+    src, tgt = forward(cfg, p, xs, mask=mask), forward(cfg, p, xt)
+    for k, hop in enumerate(stacked.hops):
+        assert np.array_equal(hop, np.concatenate([src.hops[k], tgt.hops[k]]))
+    for name in ("z", "relu_z", "pooled"):
+        want = np.concatenate([getattr(src, name), getattr(tgt, name)])
+        assert np.array_equal(getattr(stacked, name), want), name
+    for name in ("pooled_drop", "logits", "probs"):
+        assert np.array_equal(getattr(stacked, name), getattr(src, name)), name
+    node = domain_forward(p, stacked, "node").probs
+    assert np.array_equal(node, np.concatenate([domain_forward(p, src, "node").probs,
+                                                domain_forward(p, tgt, "node").probs]))
+    # the graph head is one 2-D (rows, hidden) @ (hidden, 2) GEMM, which BLAS
+    # may sum in another order when the row count doubles
+    graph = domain_forward(p, stacked, "graph").probs
+    want = np.concatenate([domain_forward(p, src, "graph").probs,
+                           domain_forward(p, tgt, "graph").probs])
+    np.testing.assert_allclose(graph, want, rtol=1e-12, atol=0.0)
+
+
+def test_stacked_forward_rejects_bad_target_and_mask():
+    p = make_params()
+    rng = np.random.default_rng(3)
+    xs, xt = rng.normal(size=(2, 6, 4)), rng.normal(size=(2, 6, 4))
+    for bad in (np.zeros((2, 5, 4)), np.zeros((2, 6, 3)), np.zeros(4)):
+        with pytest.raises(ConfigError):
+            forward(CFG, p, xs, target=bad)
+    # the mask covers the rows of x only, never the target rows behind them
+    with pytest.raises(ConfigError):
+        forward(CFG, p, xs, mask=np.ones((4, 5)), target=xt)
+    with pytest.raises(ConfigError):
+        forward(CFG, p, xs, mask=np.ones((3, 5)))
+    assert forward(CFG, p, xs, mask=np.ones((2, 5)), target=xt).z.shape == (4, 6, 5)
+
+
 def test_hidden_chain_matches_propagate():
     # hop k of the trace is S^k X W computed independently
     p = make_params(4)

@@ -1,4 +1,6 @@
 """Training loop behavior: reproducibility, switches, failure modes."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,23 @@ def test_domain_run_accepts_labeled_target_and_records_beta():
     total = QUICK["epochs"] * per_epoch
     assert res.history[0]["beta"] == pytest.approx(grl_beta((per_epoch - 1) / total))
     assert res.history[1]["beta"] > res.history[0]["beta"]
+
+
+@pytest.mark.parametrize("level", ["node_dat", "dat_graph_level"])
+def test_domain_step_runs_one_forward_and_one_domain_forward(monkeypatch, level):
+    # the target rows ride behind the source rows through one encoder pass;
+    # the package exports a function named train, so fetch the module itself
+    train_module = importlib.import_module("eegraph.train")
+    calls = {"forward": 0, "domain_forward": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(train_module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, name, counted)
+    train(DS, TGT, TrainConfig(**{level: True}, **QUICK))
+    batches = QUICK["epochs"] * -(-DS.n_samples // QUICK["batch_size"])
+    assert calls == {"forward": batches, "domain_forward": batches}
 
 
 def test_graph_level_variant_runs_with_same_parameter_shapes():
