@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptBundleError
+from .errors import ConfigError, CorruptBundleError
 from .graph import SymmetricAdjacency
 from .params import TENSOR_ORDER, ModelConfig, ParamSet
 
@@ -119,7 +119,7 @@ def load_checkpoint(path) -> Checkpoint:
             dropout=float(m["dropout"]),
         )
         has_dom = bool(header["has_domain_head"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CorruptBundleError(f"{p}: bad model header ({exc})") from None
 
     body = blob[nl + 1 :]

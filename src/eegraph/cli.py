@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+import typing
 from pathlib import Path
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -72,17 +74,36 @@ _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} | {
 }
 
 
+_KINDS = {bool: "a bool", int: "an integer", float: "a finite number", str: "a string",
+          type(None): "null"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits one annotated type. A bool is never a
+    number, an int also fits a float field, and a float must be finite."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _check_types(doc: dict, hints: dict) -> None:
+    """Reject a config value whose JSON type does not fit its field's annotation."""
+    for name, value in doc.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        if not any(_fits(value, kind) for kind in kinds):
+            want = " or ".join(_KINDS[kind] for kind in kinds)
+            raise ConfigError(f"config field {name!r} must be {want}, got {value!r}")
+
+
 def _build_dataclass(cls, doc: dict):
-    try:
-        return cls(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+    _check_types(doc, typing.get_type_hints(cls))
+    return cls(**doc)
 
 
 def cmd_synth(args) -> int:
     doc = _load_config_file(args.config, _SYNTH_KEYS, required={"seed"})
-    if "label_scheme" in doc and isinstance(doc["label_scheme"], float):
-        raise ConfigError("label_scheme must be a name or an integer class count")
     ds = synthesize(_build_dataclass(SynthConfig, doc))
     save_dataset(ds, args.out)
     print(_dump_json({
@@ -104,6 +125,7 @@ def cmd_train(args) -> int:
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
     train_trials = doc.pop("train_trials", None)
+    _check_types({"train_trials": train_trials}, {"train_trials": int | None})
     bands = doc.pop("bands", None)
     doc.pop("protocol", None)
     if args.bands:

@@ -191,14 +191,17 @@ def load_dataset(path) -> FeatureDataset:
         )
     features = np.frombuffer(fbytes, dtype="<f4").astype(np.float64).reshape(n, channels, bands)
     labels = np.frombuffer(lbytes, dtype="<i8").astype(np.int64)
-    return FeatureDataset(
-        features=features,
-        labels=labels,
-        subject_ids=subject_ids,
-        trial_ids=trial_ids,
-        band_names=band_names,
-        label_scheme=scheme,
-    )
+    try:
+        return FeatureDataset(
+            features=features,
+            labels=labels,
+            subject_ids=subject_ids,
+            trial_ids=trial_ids,
+            band_names=band_names,
+            label_scheme=scheme,
+        )
+    except ConfigError as exc:
+        raise CorruptBundleError(f"{root}: {exc}") from None
 
 
 # --- synthetic generator ---------------------------------------------------

@@ -137,9 +137,9 @@ def degree(adj: SymmetricAdjacency | np.ndarray) -> np.ndarray:
     return deg
 
 
-def normalized_propagator(adj: SymmetricAdjacency | np.ndarray) -> np.ndarray:
+def normalized_propagator(adj: SymmetricAdjacency) -> np.ndarray:
     """Degree-normalized propagation matrix, sign-preserving."""
-    full = adj.full() if isinstance(adj, SymmetricAdjacency) else np.asarray(adj, dtype=np.float64)
+    full = adj.full()
     deg = degree(full)
     inv_sqrt = 1.0 / np.sqrt(deg)
     return full * inv_sqrt[:, None] * inv_sqrt[None, :]

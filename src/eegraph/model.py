@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrodes import ElectrodeLayout, GlobalPairSet, initial_adjacency
+from .electrodes import ElectrodeLayout, initial_adjacency
 from .errors import ConfigError
 from .graph import SymmetricAdjacency, normalized_propagator
 from .params import ModelConfig, ParamSet, xavier_init
@@ -42,8 +42,6 @@ def init_params(
     layout: ElectrodeLayout,
     seed: int | np.random.SeedSequence,
     *,
-    pairs: GlobalPairSet | None = None,
-    delta: float | None = None,
     domain_head: bool = False,
     adj: SymmetricAdjacency | None = None,
 ) -> ParamSet:
@@ -57,14 +55,14 @@ def init_params(
             raise ConfigError("need either a layout or a prebuilt adjacency")
         if layout.n != cfg.n_channels:
             raise ConfigError(f"layout has {layout.n} electrodes, config wants {cfg.n_channels}")
-        adj = initial_adjacency(layout, pairs, delta if delta is not None else 5.0)
+        adj = initial_adjacency(layout)
     elif adj.n != cfg.n_channels:
         raise ConfigError(f"adjacency has {adj.n} nodes, config wants {cfg.n_channels}")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     streams = seed.spawn(3)
     params = ParamSet(
-        adj=adj.copy(),
+        adj=adj,
         w_feat=xavier_init(np.random.default_rng(streams[0]), cfg.in_dim, cfg.hidden_dim),
         w_class=xavier_init(np.random.default_rng(streams[1]), cfg.hidden_dim, cfg.n_classes),
         w_dom=xavier_init(np.random.default_rng(streams[2]), cfg.hidden_dim, 2)

@@ -1,16 +1,19 @@
 """Adam over the composite update directions, with decoupled weight decay.
 
-Decay touches only the dense transforms; the adjacency's shrinkage comes
-from its own sparsity penalty, so decaying it too would double-regularize.
+One step updates the parameter vector `ParamSet.flat` in place, with the
+directions concatenated in its tensor order and moment vectors shaped
+like it. Decay touches only the dense transforms, the tail of the vector
+after the packed adjacency; the adjacency's shrinkage comes from its own
+sparsity penalty, so decaying it too would double-regularize.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .params import DECAYED, GradientSet, ParamSet
+from .params import GradientSet, ParamSet
 
 
 @dataclass(frozen=True)
@@ -33,55 +36,48 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
-    """Step counter plus first/second moment buffers, one pair per tensor."""
+    """Step counter plus first/second moment vectors shaped like `ParamSet.flat`."""
 
     cfg: AdamConfig
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: ParamSet, cfg: AdamConfig | None = None) -> "AdamState":
-        cfg = cfg or AdamConfig()
-        state = cls(cfg=cfg)
-        for name, arr in params.tensors().items():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+        return cls(cfg or AdamConfig(), np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(state: AdamState, params: ParamSet, directions: GradientSet) -> tuple[ParamSet, AdamState]:
-    """Advance every parameter tensor one Adam step along its direction.
+    """Advance the parameter vector one Adam step along the directions.
 
     Mutates params and state in place and returns them. Weight decay is
     applied to the pre-step parameter value, independent of the moments.
     """
     cfg = state.cfg
-    tensors = params.tensors()
-    dirs = directions.tensors()
-    for name in tensors:
-        if name not in dirs:
-            raise ConfigError(f"no update direction for tensor {name!r}")
-        if not np.all(np.isfinite(dirs[name])):
-            raise DivergenceError(f"non-finite update direction for tensor {name!r}")
+    names, dirs = params.tensors(), directions.tensors()
+    try:
+        g = np.concatenate([dirs[name] for name in names], axis=None)
+    except KeyError as exc:
+        raise ConfigError(f"no update direction for tensor {exc.args[0]!r}") from None
+    if not np.isfinite(g).all():
+        name = next(name for name in names if not np.isfinite(dirs[name]).all())
+        raise DivergenceError(f"non-finite update direction for tensor {name!r}")
     state.t += 1
-    t = state.t
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
-    for name, p in tensors.items():
-        g = dirs[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        if cfg.weight_decay > 0.0 and name in DECAYED:
-            p -= cfg.lr * cfg.weight_decay * p
-        denom = np.sqrt(v_hat) + cfg.eps
-        # eps = 0 with an untouched coordinate gives 0/0; the step is 0 there
-        delta = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
-        p -= cfg.lr * delta
+    bias1 = 1.0 - cfg.beta1**state.t
+    bias2 = 1.0 - cfg.beta2**state.t
+    m, v, p = state.m, state.v, params.flat
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * g * g
+    m_hat = m / bias1
+    v_hat = v / bias2
+    if cfg.weight_decay > 0.0:
+        dense = p[params.adj.upper.size :]
+        dense -= cfg.lr * cfg.weight_decay * dense
+    denom = np.sqrt(v_hat) + cfg.eps
+    # eps = 0 with an untouched coordinate gives 0/0; the step is 0 there
+    delta = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
+    p -= cfg.lr * delta
     return params, state

@@ -6,14 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SymmetricAdjacency, n_upper
+from .graph import SymmetricAdjacency
 
-# Fixed tensor order used by the optimizer and the checkpoint layout.
-TENSOR_ORDER = ("adj", "w_feat", "w_class", "w_dom")
-
-# Only dense weight matrices are subject to weight decay; shrinking the
+# Fixed tensor order of the parameter vector and the checkpoint layout.
+# The packed adjacency comes first, so the dense weights are the tail of
+# the vector: only they are subject to weight decay; shrinking the
 # adjacency is the job of its own sparsity penalty.
-DECAYED = ("w_feat", "w_class", "w_dom")
+TENSOR_ORDER = ("adj", "w_feat", "w_class", "w_dom")
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,26 @@ class ModelConfig:
 
 @dataclass
 class ParamSet:
-    """All learnable tensors. `w_dom` is present only when a domain head is used."""
+    """All learnable tensors, as views into one float64 vector `flat`.
+
+    Construction copies the tensors into `flat` in `TENSOR_ORDER` and
+    rebinds each field to its view, so the caller's arrays are not aliased
+    and an in-place update of `flat` moves them all. A field rebound later
+    no longer aliases `flat`. `w_dom` is present only with a domain head.
+    """
 
     adj: SymmetricAdjacency
     w_feat: np.ndarray   # (in_dim, hidden_dim)
     w_class: np.ndarray  # (hidden_dim, n_classes)
     w_dom: np.ndarray | None = None  # (hidden_dim, 2)
+
+    def __post_init__(self):
+        arrays = [np.asarray(t, dtype=np.float64) for t in self.tensors().values()]
+        self.flat = np.concatenate(arrays, axis=None)
+        views = np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1])
+        upper, self.w_feat, self.w_class, *dom = (v.reshape(a.shape) for v, a in zip(views, arrays))
+        self.adj = SymmetricAdjacency(self.adj.n, upper)
+        self.w_dom = dom[0] if dom else None
 
     def check_shapes(self, cfg: ModelConfig) -> None:
         if self.adj.n != cfg.n_channels:
@@ -59,11 +72,9 @@ class ParamSet:
             raise ConfigError(f"w_dom shape {self.w_dom.shape} != {(cfg.hidden_dim, 2)}")
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Flat parameter vectors/matrices keyed by name, adjacency packed."""
-        out = {"adj": self.adj.upper, "w_feat": self.w_feat, "w_class": self.w_class}
-        if self.w_dom is not None:
-            out["w_dom"] = self.w_dom
-        return out
+        """The tensors present, keyed by name in `TENSOR_ORDER`, adjacency packed."""
+        present = (self.adj.upper, self.w_feat, self.w_class, self.w_dom)
+        return {name: t for name, t in zip(TENSOR_ORDER, present) if t is not None}
 
 
 @dataclass
@@ -77,25 +88,14 @@ class GradientSet:
 
     @classmethod
     def zeros_like(cls, params: ParamSet) -> "GradientSet":
-        return cls(
-            adj=np.zeros_like(params.adj.upper),
-            w_feat=np.zeros_like(params.w_feat),
-            w_class=np.zeros_like(params.w_class),
-            w_dom=None if params.w_dom is None else np.zeros_like(params.w_dom),
-        )
+        return cls(**{name: np.zeros_like(t) for name, t in params.tensors().items()})
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out = {"adj": self.adj, "w_feat": self.w_feat, "w_class": self.w_class}
-        if self.w_dom is not None:
-            out["w_dom"] = self.w_dom
-        return out
-
-
-def xavier_limit(fan_in: int, fan_out: int) -> float:
-    return float(np.sqrt(6.0 / (fan_in + fan_out)))
+        present = (self.adj, self.w_feat, self.w_class, self.w_dom)
+        return {name: t for name, t in zip(TENSOR_ORDER, present) if t is not None}
 
 
 def xavier_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """Uniform initialization scaled by combined fan, as float64."""
-    lim = xavier_limit(fan_in, fan_out)
+    lim = float(np.sqrt(6.0 / (fan_in + fan_out)))
     return rng.uniform(-lim, lim, size=(fan_in, fan_out)).astype(np.float64)

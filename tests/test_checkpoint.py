@@ -178,3 +178,15 @@ def test_header_body_mismatch(tmp_path):
     path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
     with pytest.raises(CorruptBundleError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field,value", [("hidden_dim", 0), ("dropout", 1.0)])
+def test_invalid_model_header_names_the_file(tmp_path, field, value):
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, sample_ckpt())
+    head, body = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(head)
+    doc["model"][field] = value
+    path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
+    with pytest.raises(CorruptBundleError, match="bad.ckpt"):
+        load_checkpoint(path)

@@ -168,6 +168,41 @@ def test_train_rejects_unknown_config_key(bundle, tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,field,value", [
+    ("train", "epochs", 2.5),
+    ("train", "lr", float("nan")),
+    ("train", "node_dat", "yes"),
+    ("train", "batch_size", True),
+    ("train", "train_trials", 1.5),
+    ("synth", "seed", 1.5),
+    ("synth", "subjects", 2.5),
+    ("synth", "class_separation", float("nan")),
+    ("synth", "label_scheme", 3.0),
+])
+def test_mistyped_config_value_is_a_validation_error(bundle, tmp_path, capsys, command, field, value):
+    cfg = tmp_path / "mistyped.json"
+    if command == "train":
+        cfg.write_text(json.dumps({**TRAIN_DOC, field: value}))
+        argv = ["train", "--data", str(bundle), "--config", str(cfg)]
+    else:
+        cfg.write_text(json.dumps({**SYNTH_DOC, field: value}))
+        argv = ["synth", "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+
+
+def test_float_fields_accept_integers(bundle, tmp_path, capsys):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**TRAIN_DOC, "epochs": 1, "lr": 1, "epsilon": 0}))
+    assert main(["train", "--data", str(bundle), "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == EXIT_OK
+    capsys.readouterr()
+    echo = json.loads((tmp_path / "x" / "report.json").read_text())["config"]
+    assert echo["lr"] == 1 and isinstance(echo["lr"], int)
+
+
 def test_train_missing_bundle(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope"), "--protocol", "loso",
                  "--out", str(tmp_path / "x")]) == EXIT_INVALID

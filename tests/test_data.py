@@ -232,6 +232,29 @@ def test_manifest_scheme_class_mismatch(tmp_path):
         load_dataset(out)
 
 
+def test_manifest_ids_one_short_names_the_bundle(tmp_path):
+    ds = synthesize(BASE)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    man = json.loads((out / "manifest.json").read_text())
+    man["subject_ids"] = man["subject_ids"][:-1]
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(CorruptBundleError, match="bundle"):
+        load_dataset(out)
+
+
+def test_out_of_scheme_label_names_the_bundle(tmp_path):
+    ds = synthesize(BASE)
+    assert ds.label_scheme == "seed3"
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    labels = np.frombuffer((out / "labels.i64").read_bytes(), dtype="<i8").copy()
+    labels[labels == labels[0]] = 7  # the whole first label's trials, so no group conflicts
+    (out / "labels.i64").write_bytes(labels.astype("<i8").tobytes())
+    with pytest.raises(CorruptBundleError, match="bundle"):
+        load_dataset(out)
+
+
 def write_tiny_fixture(root):
     """Two samples, two channels, one band, written byte by byte."""
     import struct

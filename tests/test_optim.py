@@ -1,13 +1,16 @@
-"""Adam stepping, decay scope, and divergence detection."""
+"""Adam stepping, decay scope, divergence detection, and the parameter vector."""
+import dataclasses
+
 import numpy as np
 import pytest
 
+from eegraph.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from eegraph.errors import ConfigError, DivergenceError
 from eegraph.gradients import l1_subgradient
 from eegraph.graph import SymmetricAdjacency
 from eegraph.model import init_params
 from eegraph.optim import AdamConfig, AdamState, adam_step
-from eegraph.params import GradientSet, ModelConfig
+from eegraph.params import TENSOR_ORDER, GradientSet, ModelConfig
 
 CFG = ModelConfig(n_channels=4, in_dim=3, hidden_dim=3, n_classes=2, steps=1)
 
@@ -48,10 +51,12 @@ def test_config_validation():
 def test_state_tracks_every_tensor():
     params = fresh()
     state = AdamState.for_params(params)
-    assert set(state.m) == {"adj", "w_feat", "w_class", "w_dom"}
+    for moments in (state.m, state.v):
+        assert moments.shape == params.flat.shape and not moments.any()
+        assert not np.shares_memory(moments, params.flat)
     assert state.t == 0
     no_dom = fresh(domain_head=False)
-    assert set(AdamState.for_params(no_dom).m) == {"adj", "w_feat", "w_class"}
+    assert AdamState.for_params(no_dom).m.shape == no_dom.flat.shape
 
 
 def test_sign_descent_mode():
@@ -179,3 +184,71 @@ def test_missing_direction_rejected():
     d.w_dom = None
     with pytest.raises(ConfigError):
         adam_step(state, params, d)
+
+
+def assert_views_of_flat(params):
+    tensors = params.tensors()
+    assert list(tensors) == [name for name in TENSOR_ORDER if name in tensors]
+    assert sum(t.size for t in tensors.values()) == params.flat.size
+    for name, t in tensors.items():
+        assert np.shares_memory(t, params.flat), name
+
+
+def test_tensors_are_views_into_one_vector(tmp_path):
+    adj = SymmetricAdjacency.identity(4)
+    made = init_params(CFG, None, 0, domain_head=True, adj=adj)
+    assert not np.shares_memory(made.adj.upper, adj.upper)
+    save_checkpoint(tmp_path / "p.ckpt", Checkpoint(cfg=CFG, params=made))
+    loaded = load_checkpoint(tmp_path / "p.ckpt").params
+    replaced = dataclasses.replace(made, w_class=made.w_class * 2.0)
+    no_dom = fresh(domain_head=False)
+    group = [made, loaded, replaced, no_dom]
+    for params in group:
+        assert_views_of_flat(params)
+    for i, a in enumerate(group):
+        for b in group[i + 1 :]:
+            assert not np.shares_memory(a.flat, b.flat)
+    # moving the vector moves every field, and the caller's adjacency stays put
+    made.flat += 1.0
+    assert np.array_equal(made.adj.upper, adj.upper + 1.0)
+    assert np.array_equal(adj.upper, SymmetricAdjacency.identity(4).upper)
+
+
+def reference_adam_step(cfg, t, m, v, tensors, dirs):
+    """Per-tensor Adam with per-tensor moment dicts, decaying only dense weights."""
+    bias1 = 1.0 - cfg.beta1**t
+    bias2 = 1.0 - cfg.beta2**t
+    for name, p in tensors.items():
+        g = dirs[name]
+        m[name] *= cfg.beta1
+        m[name] += (1.0 - cfg.beta1) * g
+        v[name] *= cfg.beta2
+        v[name] += (1.0 - cfg.beta2) * g * g
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        if cfg.weight_decay > 0.0 and name != "adj":
+            p -= cfg.lr * cfg.weight_decay * p
+        denom = np.sqrt(v_hat) + cfg.eps
+        delta = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
+        p -= cfg.lr * delta
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+@pytest.mark.parametrize("domain_head", [True, False])
+@pytest.mark.parametrize("eps", [1e-8, 0.0])
+def test_vector_step_matches_per_tensor_loop_bitwise(weight_decay, domain_head, eps):
+    cfg = AdamConfig(lr=0.02, eps=eps, weight_decay=weight_decay)
+    params = fresh(12, domain_head=domain_head)
+    ref = {k: t.copy() for k, t in params.tensors().items()}
+    m = {k: np.zeros_like(t) for k, t in ref.items()}
+    v = {k: np.zeros_like(t) for k, t in ref.items()}
+    state = AdamState.for_params(params, cfg)
+    rng = np.random.default_rng(13)
+    for t in range(1, 26):
+        d = grad_like(params, rng=rng)
+        d.w_feat[0, 0] = 0.0  # never touched: 0/0 when eps is 0
+        adam_step(state, params, d)
+        reference_adam_step(cfg, t, m, v, ref, d.tensors())
+        for name, want in ref.items():
+            assert np.array_equal(params.tensors()[name], want), (t, name)
+    assert state.t == 25
