@@ -22,6 +22,10 @@ from .params import TENSOR_ORDER, ModelConfig, ParamSet
 
 FORMAT_NAME = "eegraph-checkpoint"
 FORMAT_VERSION = 2
+# JSON types of the model header fields, taken as written: a bool is not
+# a number, and a float or a string is not a count
+_HEADER_TYPES = {name: int for name in ("n_channels", "in_dim", "hidden_dim", "n_classes", "steps")}
+_HEADER_TYPES["dropout"] = (int, float)
 
 
 def write_array_block(arr: np.ndarray) -> bytes:
@@ -110,16 +114,19 @@ def load_checkpoint(path) -> Checkpoint:
         raise CorruptBundleError(f"{p}: unsupported version {header.get('version')!r}")
     try:
         m = header["model"]
-        cfg = ModelConfig(
-            n_channels=int(m["n_channels"]),
-            in_dim=int(m["in_dim"]),
-            hidden_dim=int(m["hidden_dim"]),
-            n_classes=int(m["n_classes"]),
-            steps=int(m["steps"]),
-            dropout=float(m["dropout"]),
-        )
-        has_dom = bool(header["has_domain_head"])
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        fields = {name: m[name] for name in _HEADER_TYPES}
+        has_dom = header["has_domain_head"]
+    except (KeyError, TypeError) as exc:
+        raise CorruptBundleError(f"{p}: bad model header ({exc!r})") from None
+    wrong = [name for name, kind in _HEADER_TYPES.items()
+             if isinstance(fields[name], bool) or not isinstance(fields[name], kind)]
+    if not isinstance(has_dom, bool):
+        wrong.append("has_domain_head")
+    if wrong:
+        raise CorruptBundleError(f"{p}: bad model header ({wrong[0]} has the wrong JSON type)")
+    try:
+        cfg = ModelConfig(**fields)
+    except ConfigError as exc:
         raise CorruptBundleError(f"{p}: bad model header ({exc})") from None
 
     body = blob[nl + 1 :]

@@ -127,6 +127,10 @@ def cmd_train(args) -> int:
     train_trials = doc.pop("train_trials", None)
     _check_types({"train_trials": train_trials}, {"train_trials": int | None})
     bands = doc.pop("bands", None)
+    if bands is not None and not (
+        isinstance(bands, list) and all(isinstance(b, str) for b in bands)
+    ):
+        raise ConfigError(f"config field 'bands' must be a list of strings, got {bands!r}")
     doc.pop("protocol", None)
     if args.bands:
         bands = [b.strip() for b in args.bands.split(",") if b.strip()]

@@ -1,4 +1,9 @@
-"""Evaluation protocols, metrics, and trained-model inspection."""
+"""Evaluation protocols, metrics, and trained-model inspection.
+
+`run_protocol` trains the folds whose training sets have the same size
+together, in lockstep groups of at most `lockstep_size` models, and
+scores each fold's model on its held-out set.
+"""
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
@@ -9,7 +14,7 @@ from .data import FeatureDataset, split_loso, split_subject_dependent
 from .errors import ConfigError
 from .model import predict
 from .params import ModelConfig, ParamSet
-from .train import TrainConfig, TrainResult, train
+from .train import TrainConfig, TrainResult, lockstep_size, train_lockstep
 
 
 @dataclass
@@ -70,7 +75,8 @@ def run_protocol(
     Subject-dependent folds train and test within each subject; the
     leave-one-subject-out protocol holds each subject's data out entirely.
     When domain adaptation is on, the held-out fold's features (labels
-    stripped) serve as the target domain.
+    stripped) serve as the target domain. Folds with training sets of one
+    size train in lockstep; each model is bitwise what `train` gives.
     """
     if protocol == "subject_dependent":
         if train_trials is None:
@@ -81,13 +87,20 @@ def run_protocol(
     else:
         raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
 
+    results: list[TrainResult] = [None] * len(folds)
+    for group in _lockstep_groups(
+        [fold_train.n_samples for fold_train, _ in folds], lockstep_size(cfg, ds.n_channels)
+    ):
+        jobs = [(folds[i][0], folds[i][1].unlabeled() if cfg.uses_domain else None) for i in group]
+        trained = train_lockstep(jobs, cfg, layout=layout, global_pairs=global_pairs,
+                                 names=[f"fold {i}" for i in group])
+        for i, result in zip(group, trained):
+            results[i] = result
+
     accuracies: list[float] = []
     infos: list[dict] = []
-    results: list[TrainResult] = []
     confusion = np.zeros((ds.n_classes, ds.n_classes), dtype=np.int64)
-    for i, (fold_train, fold_test) in enumerate(folds):
-        target = fold_test.unlabeled() if cfg.uses_domain else None
-        result = train(fold_train, target, cfg, layout=layout, global_pairs=global_pairs)
+    for i, ((_, fold_test), result) in enumerate(zip(folds, results)):
         acc, conf = evaluate(result.model_cfg, result.params, fold_test)
         accuracies.append(acc)
         confusion += conf
@@ -97,9 +110,16 @@ def run_protocol(
         else:
             info["subject"] = int(fold_test.subject_ids[0])
         infos.append(info)
-        results.append(result)
     report = EvalReport(fold_accuracies=accuracies, confusion=confusion, fold_info=infos)
     return report, results
+
+
+def _lockstep_groups(sizes: list[int], cap: int) -> list[list[int]]:
+    """Indices with equal sizes, in order, split into groups of at most `cap`."""
+    by_size: dict[int, list[int]] = {}
+    for i, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(i)
+    return [same[j : j + cap] for same in by_size.values() for j in range(0, len(same), cap)]
 
 
 def activation_map(params: ParamSet) -> np.ndarray:

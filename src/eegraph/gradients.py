@@ -8,8 +8,10 @@ training step takes one forward trace of the source rows with the target
 rows stacked behind them, combines both gradients at its node features z
 and runs one backward through the chain (`step_directions`), built from
 GEMMs only. `class_backward` and `domain_backward` give each objective's
-own gradient through that same backward. Subgradients at the ReLU and
-absolute-value kinks are taken as 0. Everything runs in float64.
+own gradient through that same backward. A trace with a leading model
+axis gives directions with that axis, each model's bitwise those of a
+step on it alone. Subgradients at the ReLU and absolute-value kinks are
+taken as 0. Everything runs in float64.
 """
 from __future__ import annotations
 
@@ -41,28 +43,37 @@ def _shared_backward(
     The band-width rows are laid out as (n, rows * in_dim) matrices: each
     hop costs one GEMM for the propagator gradient and one for the chain
     (none after the first hop, since nothing reads the gradient at x), and
-    the normalization adjoint runs once. Adds the L1 subgradient of weight
-    alpha. The trace must come from a forward pass on `params`.
+    the normalization adjoint runs once, on the trace's unpacked adjacency
+    and degrees. Adds the L1 subgradient of weight alpha. The trace must
+    come from a training forward pass on `params`; any leading model axis
+    of `g_z` is kept, and each GEMM keeps its per-model shape.
     """
-    prop, n, rows = trace.prop, cfg.n_channels, len(g_z)
-    g_z = g_z.reshape(-1, cfg.hidden_dim)
-    g_w_feat = trace.hops[-1][:rows].reshape(-1, cfg.in_dim).T @ g_z
-    g_h = (g_z @ params.w_feat.T).reshape(rows, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    prop, n, rows = trace.prop, cfg.n_channels, g_z.shape[-3]
+    lead = g_z.shape[:-3]
+
+    def band_rows(hop: np.ndarray) -> np.ndarray:
+        # (rows, n, in_dim) -> (n, rows * in_dim), per model
+        return hop[..., :rows, :, :].swapaxes(-3, -2).reshape(lead + (n, -1))
+
+    g_z = g_z.reshape(lead + (-1, cfg.hidden_dim))
+    top = trace.hops[-1][..., :rows, :, :].reshape(lead + (-1, cfg.in_dim))
+    g_w_feat = top.swapaxes(-1, -2) @ g_z
+    g_h = band_rows((g_z @ params.w_feat.swapaxes(-1, -2)).reshape(lead + (rows, n, -1)))
     g_prop = np.zeros_like(prop)
     for hop in range(cfg.steps, 0, -1):
-        g_prop += g_h @ trace.hops[hop - 1][:rows].transpose(1, 0, 2).reshape(n, -1).T
+        g_prop += g_h @ band_rows(trace.hops[hop - 1]).swapaxes(-1, -2)
         if hop > 1:
-            g_h = prop.T @ g_h
+            g_h = prop.swapaxes(-1, -2) @ g_h
 
     # Adjoint of S = D^(-1/2) A D^(-1/2) with D from |A|: each matrix entry
     # feeds S directly and also through its own row's degree; the degree
     # path carries the sign of the entry because degrees sum absolute values.
-    full = params.adj.full()
-    deg = np.abs(full).sum(axis=1)
+    full, deg = trace.full, trace.deg
     inv_sqrt = 1.0 / np.sqrt(deg)
     gs = g_prop * prop
-    g_deg = -(gs.sum(axis=1) + gs.sum(axis=0)) / (2.0 * deg)
-    g_full = g_prop * inv_sqrt[:, None] * inv_sqrt[None, :] + np.sign(full) * g_deg[:, None]
+    g_deg = -(gs.sum(axis=-1) + gs.sum(axis=-2)) / (2.0 * deg)
+    g_full = (g_prop * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+              + np.sign(full) * g_deg[..., :, None])
     g_adj = fold_full_gradient(g_full) + l1_subgradient(params.adj, alpha)
     return g_adj, g_w_feat
 
@@ -76,7 +87,7 @@ def l1_subgradient(adj: SymmetricAdjacency, alpha: float) -> np.ndarray:
     sign = np.sign(adj.upper)
     g = 2.0 * alpha * sign
     diag = diagonal_positions(adj.n)
-    g[diag] = alpha * sign[diag]
+    g[..., diag] = alpha * sign[..., diag]
     return g
 
 
@@ -88,14 +99,15 @@ def _class_head_backward(
     if targets.shape != trace.probs.shape:
         raise ConfigError(f"targets shape {targets.shape} != probs {trace.probs.shape}")
     g_logits = trace.probs - targets
-    g_w_class = trace.pooled_drop.T @ g_logits
-    g_pooled = g_logits @ params.w_class.T
+    g_w_class = trace.pooled_drop.swapaxes(-1, -2) @ g_logits
+    g_pooled = g_logits @ params.w_class.swapaxes(-1, -2)
     if trace.mask is not None:
         g_pooled = g_pooled * trace.mask * trace.keep_scale
     # sum pooling hands every node the pooled gradient; the ReLU gates it by
     # a multiply, so a non-finite gradient at a dead unit stays NaN for
     # adam_step's precheck to report
-    return g_w_class, (trace.z[: len(g_pooled)] > 0.0) * g_pooled[:, None, :]
+    b = g_pooled.shape[-2]
+    return g_w_class, (trace.z[..., :b, :, :] > 0.0) * g_pooled[..., None, :]
 
 
 def _domain_head_backward(
@@ -110,15 +122,21 @@ def _domain_head_backward(
     if params.w_dom is None:
         raise ConfigError("domain gradients requested without a domain head")
     g_dlogits = dom.probs.copy()
-    g_dlogits[:n_source, ..., 0] -= 1.0
-    g_dlogits[n_source:, ..., 1] -= 1.0
-    src, tgt = slice(None, n_source), slice(n_source, None)
-    hidden = params.w_dom.shape[0]
-    g_w_dom = (dom.inputs[src].reshape(-1, hidden).T @ g_dlogits[src].reshape(-1, 2)
-               + dom.inputs[tgt].reshape(-1, hidden).T @ g_dlogits[tgt].reshape(-1, 2))
-    g_inputs = g_dlogits @ params.w_dom.T
-    if dom.level == "graph":
-        g_inputs = g_inputs[:, None, :]
+    g_src, g_tgt = np.split(g_dlogits, [n_source], axis=dom.row_axis)
+    g_src[..., 0] -= 1.0
+    g_tgt[..., 1] -= 1.0
+    in_src, in_tgt = np.split(dom.inputs, [n_source], axis=dom.row_axis)
+
+    def per_model_rows(a: np.ndarray) -> np.ndarray:
+        return a.reshape(a.shape[: dom.row_axis] + (-1, a.shape[-1]))
+
+    g_w_dom = (per_model_rows(in_src).swapaxes(-1, -2) @ per_model_rows(g_src)
+               + per_model_rows(in_tgt).swapaxes(-1, -2) @ per_model_rows(g_tgt))
+    w_dom_t = params.w_dom.swapaxes(-1, -2)
+    if dom.level == "node":
+        g_inputs = g_dlogits @ w_dom_t[..., None, :, :]
+    else:
+        g_inputs = (g_dlogits @ w_dom_t)[..., None, :]
     return g_w_dom, (trace.z > 0.0) * g_inputs
 
 
@@ -192,10 +210,13 @@ def step_directions(
     g_w_class, g_z = _class_head_backward(params, trace, targets)
     g_w_dom = None
     if domain is not None:
-        b = len(g_z)
+        b = g_z.shape[-3]
         g_w_dom, g_z_dom = _domain_head_backward(params, trace, domain, b)
         if beta != 0.0:
-            g_z = np.concatenate([g_z - beta * g_z_dom[:b], -beta * g_z_dom[b:]])
+            # source rows g_z - beta * g_z_dom, target rows -beta * g_z_dom
+            reversed_dom = -beta * g_z_dom
+            reversed_dom[..., :b, :, :] += g_z
+            g_z = reversed_dom
     g_adj, g_w_feat = _shared_backward(cfg, params, trace, g_z, alpha)
     return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=g_w_dom)
 

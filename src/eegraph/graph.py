@@ -3,7 +3,9 @@
 The adjacency over n channels is stored as the n(n+1)/2 upper-triangle
 entries (row-major, diagonal included), so symmetry is structural rather
 than a runtime invariant. Degrees are computed from absolute values
-because learned edge weights can be negative.
+because learned edge weights can be negative. The packed entries may
+carry leading axes (one adjacency per model); unpacking, degrees,
+normalization and the gradient fold keep them.
 """
 from __future__ import annotations
 
@@ -46,12 +48,12 @@ def pack_upper(matrix: np.ndarray) -> np.ndarray:
 
 def unpack_upper(upper: np.ndarray, n: int) -> np.ndarray:
     """Rebuild the full symmetric matrix from its packed upper triangle."""
-    if upper.shape != (n_upper(n),):
+    if upper.shape[-1:] != (n_upper(n),):
         raise ValueError(f"expected {n_upper(n)} packed entries for n={n}, got {upper.shape}")
     rows, cols = upper_indices(n)
-    full = np.zeros((n, n), dtype=np.float64)
-    full[rows, cols] = upper
-    full[cols, rows] = upper
+    full = np.zeros(upper.shape[:-1] + (n, n), dtype=np.float64)
+    full[..., rows, cols] = upper
+    full[..., cols, rows] = upper
     return full
 
 
@@ -62,11 +64,11 @@ def fold_full_gradient(grad_full: np.ndarray) -> np.ndarray:
     gradient is the sum of the (i, j) and (j, i) full-matrix gradients;
     a diagonal parameter backs one entry.
     """
-    n = grad_full.shape[0]
+    n = grad_full.shape[-1]
     rows, cols = upper_indices(n)
-    g = grad_full[rows, cols] + grad_full[cols, rows]
+    g = grad_full[..., rows, cols] + grad_full[..., cols, rows]
     diag = rows == cols
-    g[diag] = grad_full[rows[diag], cols[diag]]
+    g[..., diag] = grad_full[..., rows[diag], cols[diag]]
     return g
 
 
@@ -75,11 +77,11 @@ class SymmetricAdjacency:
     """Learnable symmetric channel-connection matrix with self-loops."""
 
     n: int
-    upper: np.ndarray  # (n(n+1)/2,) float64
+    upper: np.ndarray  # (..., n(n+1)/2) float64
 
     def __post_init__(self):
         self.upper = np.asarray(self.upper, dtype=np.float64)
-        if self.upper.shape != (n_upper(self.n),):
+        if self.upper.shape[-1:] != (n_upper(self.n),):
             raise ValueError(
                 f"adjacency over {self.n} channels needs {n_upper(self.n)} parameters, "
                 f"got {self.upper.shape}"
@@ -102,7 +104,7 @@ class SymmetricAdjacency:
         return unpack_upper(self.upper, self.n)
 
     def diagonal(self) -> np.ndarray:
-        return self.upper[diagonal_positions(self.n)]
+        return self.upper[..., diagonal_positions(self.n)]
 
     def copy(self) -> "SymmetricAdjacency":
         return SymmetricAdjacency(self.n, self.upper.copy())
@@ -130,19 +132,26 @@ class SymmetricAdjacency:
 def degree(adj: SymmetricAdjacency | np.ndarray) -> np.ndarray:
     """Row sums of absolute connection weights, one per channel."""
     full = adj.full() if isinstance(adj, SymmetricAdjacency) else np.asarray(adj, dtype=np.float64)
-    deg = np.abs(full).sum(axis=1)
+    deg = np.abs(full).sum(axis=-1)
     if np.any(deg == 0.0):
-        dead = np.flatnonzero(deg == 0.0)
+        dead = np.flatnonzero((deg == 0.0).any(axis=tuple(range(deg.ndim - 1))))
         raise IsolatedNodeError(f"channels {dead.tolist()} have zero total weight")
     return deg
 
 
-def normalized_propagator(adj: SymmetricAdjacency) -> np.ndarray:
-    """Degree-normalized propagation matrix, sign-preserving."""
-    full = adj.full()
-    deg = degree(full)
+def normalized_propagator(
+    adj: SymmetricAdjacency | np.ndarray, deg: np.ndarray | None = None
+) -> np.ndarray:
+    """Degree-normalized propagation matrix D^(-1/2) A D^(-1/2), sign-preserving.
+
+    `adj` is a packed adjacency or its full matrix; pass the degrees of a
+    full matrix as `deg` when they are already known.
+    """
+    full = adj.full() if isinstance(adj, SymmetricAdjacency) else adj
+    if deg is None:
+        deg = degree(full)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    return full * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return full * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
 def propagate(prop: np.ndarray, x: np.ndarray, steps: int) -> np.ndarray:

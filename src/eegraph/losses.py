@@ -5,6 +5,9 @@ emotionally adjacent classes and exact zeros on opposite ones, so label
 noise between neighbors costs little while gross errors still register.
 The domain term is a per-node binary cross-entropy whose gradient is
 reversed (scaled by a schedule) before it reaches shared parameters.
+The scalar losses take probabilities, or log-probabilities with
+`log=True`, which stay finite for confident logits where a softmax
+underflows to 0. Inputs with a leading model axis give one loss per model.
 """
 from __future__ import annotations
 
@@ -108,50 +111,67 @@ def allowed_flips(scheme: str | int) -> dict[int, list[int]]:
 
 # --- scalar losses ---------------------------------------------------------
 
-def kl_loss(pred_probs: np.ndarray, targets: np.ndarray) -> float:
+def _per_model(total: np.ndarray) -> float | np.ndarray:
+    """A float for one model, else the array of per-model values."""
+    return float(total) if total.ndim == 0 else total
+
+
+def kl_loss(pred: np.ndarray, targets: np.ndarray, *, log: bool = False) -> float | np.ndarray:
     """Sum over samples of KL(target ‖ prediction), with 0·log 0 = 0.
 
-    Targets carry exact zeros by construction; predictions are softmax
-    outputs, hence strictly positive.
+    `pred` holds (batch, classes) probabilities, or log-probabilities with
+    `log=True`; a leading model axis gives one sum per model. Targets
+    carry exact zeros by construction; the prediction is strictly positive
+    wherever a softmax did not underflow, and its log is finite wherever
+    the logits are.
     """
-    p = np.asarray(pred_probs, dtype=np.float64)
+    p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise ConfigError(f"prediction shape {p.shape} != target shape {t.shape}")
     mask = t > 0.0
     terms = np.zeros_like(t)
-    terms[mask] = t[mask] * (np.log(t[mask]) - np.log(p[mask]))
-    return float(terms.sum())
+    log_p = p[mask] if log else np.log(p[mask])
+    terms[mask] = t[mask] * (np.log(t[mask]) - log_p)
+    return _per_model(terms.sum(axis=(-2, -1)))
 
 
-def l1_penalty(adj: SymmetricAdjacency, alpha: float) -> float:
+def l1_penalty(adj: SymmetricAdjacency, alpha: float) -> float | np.ndarray:
     """alpha times the absolute sum over the full symmetric matrix.
 
     Off-diagonal parameters count twice so the penalty depends on the
     matrix, not on the packed storage choice; the sum is read from the
-    packed triangle.
+    packed triangle, one per model when it carries a model axis.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     mags = np.abs(adj.upper)
-    return float(alpha * (2.0 * mags.sum() - mags[diagonal_positions(adj.n)].sum()))
+    return _per_model(
+        alpha * (2.0 * mags.sum(axis=-1) - mags[..., diagonal_positions(adj.n)].sum(axis=-1))
+    )
 
 
-def domain_loss(source_probs: np.ndarray, target_probs: np.ndarray) -> float:
+def domain_loss(
+    source: np.ndarray, target: np.ndarray, *, log: bool = False, per_model: bool = False
+) -> float | np.ndarray:
     """Negative log-likelihood of correct domain membership, summed.
 
-    Inputs are (..., 2) probability stacks: index 0 scores "source",
-    index 1 scores "target". Node-level stacks are (N, n, 2); the pooled
-    variant passes (N, 2). Source and target batch sizes must match.
+    Inputs are (..., 2) probability stacks, or log-probabilities with
+    `log=True`: index 0 scores "source", index 1 scores "target".
+    Node-level stacks are (N, n, 2); the pooled variant passes (N, 2).
+    Source and target batch sizes must match. With `per_model` the first
+    axis indexes models, and the result holds one sum per model.
     """
-    s = np.asarray(source_probs, dtype=np.float64)
-    t = np.asarray(target_probs, dtype=np.float64)
+    s = np.asarray(source, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     if s.shape != t.shape:
         raise ConfigError(
             f"source and target domain batches differ: {s.shape} vs {t.shape}; "
             "resample the target to the source size first"
         )
-    return float(-(np.log(s[..., 0]).sum() + np.log(t[..., 1]).sum()))
+    axes = tuple(range(1 if per_model else 0, s.ndim - 1))
+    log_s, log_t = (s[..., 0], t[..., 1]) if log else (np.log(s[..., 0]), np.log(t[..., 1]))
+    return _per_model(-(log_s.sum(axis=axes) + log_t.sum(axis=axes)))
 
 
 def grl_beta(progress: float) -> float:

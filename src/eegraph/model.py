@@ -6,9 +6,12 @@ rectified, sum-pooled over channels, and classified. Propagating first
 is the simple-graph-convolution order (S^K X) W: it equals S^K (X W),
 but the hop chain runs in the narrow band width. Every intermediate
 needed by the backward pass is kept on a trace object so gradients never
-recompute the forward. Prediction runs the same forward over bounded row
-chunks and keeps no trace past a chunk, so its memory does not grow with
-the number of rows.
+recompute the forward. The parameters and features may carry a leading
+model axis (`ParamSet.stack`): each model then runs on its own rows, with
+GEMMs of the same per-model shapes, so each model's arrays are bitwise
+those of a forward on it alone. Prediction runs the same forward over
+bounded row chunks with one propagator and keeps no trace past a chunk,
+so its memory does not grow with the number of rows.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .electrodes import ElectrodeLayout, initial_adjacency
 from .errors import ConfigError
-from .graph import SymmetricAdjacency, normalized_propagator
+from .graph import SymmetricAdjacency, degree, normalized_propagator
 from .params import ModelConfig, ParamSet, xavier_init
 
 # Float64 elements in one (rows, n_channels, hidden_dim) array of a
@@ -30,11 +33,32 @@ def relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
-def softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax, safe for large logits."""
-    shifted = a - a.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def _softmax_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax over the last axis and its logsumexp log, from one max shift.
+
+    Two columns (the domain head) are reduced by one elementwise max and
+    one add: the same values as the axis reductions, which cost more per
+    row than the arithmetic at that width.
+    """
+    if a.shape[-1] == 2:
+        shifted = a - np.maximum(a[..., :1], a[..., 1:])
+        e = np.exp(shifted)
+        total = e[..., :1] + e[..., 1:]
+    else:
+        shifted = a - a.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
+
+
+def softmax(a: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis, safe for large logits."""
+    return _softmax_pair(a)[0]
+
+
+def log_softmax(a: np.ndarray) -> np.ndarray:
+    """Log-probabilities by logsumexp: finite where softmax underflows to 0."""
+    return _softmax_pair(a)[1]
 
 
 def init_params(
@@ -80,8 +104,13 @@ def sample_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: 
 
 @dataclass
 class ForwardTrace:
-    """Everything the classifier computed for b source rows, then any target rows."""
+    """Everything the classifier computed for b source rows, then any target rows.
 
+    Shapes are per model; a leading model axis, if any, comes first.
+    """
+
+    full: np.ndarray | None    # (n, n) unpacked adjacency; None if the propagator was given
+    deg: np.ndarray | None     # (n,) degrees of `full`
     prop: np.ndarray           # (n, n) normalized propagator
     hops: list[np.ndarray]     # x, Sx, ..., S^steps x, each (rows, n, in_dim)
     z: np.ndarray              # (rows, n, hidden_dim) (S^steps x) W: propagated, then projected
@@ -92,14 +121,17 @@ class ForwardTrace:
     pooled_drop: np.ndarray    # (b, hidden_dim) fed to the classifier
     logits: np.ndarray         # (b, n_classes)
     probs: np.ndarray          # (b, n_classes)
+    log_probs: np.ndarray      # (b, n_classes) logsumexp log of probs
 
 
-def _feature_rows(cfg: ModelConfig, x: np.ndarray) -> np.ndarray:
-    """Float64 (rows, channels, bands) features; a 2-D sample is one row."""
+def _feature_rows(cfg: ModelConfig, x: np.ndarray, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Float64 (*lead, rows, channels, bands) features; a 2-D sample is one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
         x = x[None]
-    if x.shape[1:] != (cfg.n_channels, cfg.in_dim):
+    if x.ndim != len(lead) + 3 or x.shape[: len(lead)] != lead or x.shape[-2:] != (
+        cfg.n_channels, cfg.in_dim
+    ):
         raise ConfigError(
             f"features of shape {x.shape} do not match "
             f"({cfg.n_channels} channels, {cfg.in_dim} bands)"
@@ -114,6 +146,7 @@ def forward(
     *,
     mask: np.ndarray | None = None,
     target: np.ndarray | None = None,
+    prop: np.ndarray | None = None,
 ) -> ForwardTrace:
     """Run the classifier on a (batch, channels, bands) feature stack.
 
@@ -122,27 +155,39 @@ def forward(
     checks and ablation comparisons. Any `target` rows run behind the rows
     of `x` through propagation, projection, ReLU and pooling, bitwise per
     row, for the domain head; the mask and the classifier see only `x`.
+    With stacked parameters, `x`, `target` and `mask` carry the same
+    leading model axis. `prop`, the propagator of `params.adj`, skips
+    normalizing the adjacency again (evaluation chunks); the trace then
+    has no `full` and `deg` and cannot be differentiated.
     """
-    x = _feature_rows(cfg, x)
-    b = len(x)
+    lead = params.flat.shape[:-1]
+    x = _feature_rows(cfg, x, lead)
+    b = x.shape[-3]
     if target is not None:
-        x = np.concatenate([x, _feature_rows(cfg, target)])
-    prop = normalized_propagator(params.adj)
+        x = np.concatenate([x, _feature_rows(cfg, target, lead)], axis=-3)
+    full = deg = None
+    if prop is None:
+        full = params.adj.full()
+        deg = degree(full)
+        prop = normalized_propagator(full, deg)
     hops = [x]
     for _ in range(cfg.steps):
-        hops.append(np.matmul(prop, hops[-1]))
-    z = np.matmul(hops[-1], params.w_feat)
+        hops.append(np.matmul(prop[..., None, :, :], hops[-1]))
+    z = np.matmul(hops[-1], params.w_feat[..., None, :, :])
     relu_z = relu(z)
-    pooled = relu_z.sum(axis=1)
+    pooled = relu_z.sum(axis=-2)
     keep_scale = 1.0
-    pooled_drop = pooled[:b]
+    pooled_drop = pooled[..., :b, :]
     if mask is not None:
         if mask.shape != pooled_drop.shape:
             raise ConfigError(f"dropout mask shape {mask.shape} != pooled {pooled_drop.shape}")
         keep_scale = 1.0 / (1.0 - cfg.dropout)
         pooled_drop = pooled_drop * mask * keep_scale
     logits = pooled_drop @ params.w_class
+    probs, log_probs = _softmax_pair(logits)
     return ForwardTrace(
+        full=full,
+        deg=deg,
         prop=prop,
         hops=hops,
         z=z,
@@ -152,7 +197,8 @@ def forward(
         keep_scale=keep_scale,
         pooled_drop=pooled_drop,
         logits=logits,
-        probs=softmax(logits),
+        probs=probs,
+        log_probs=log_probs,
     )
 
 
@@ -162,8 +208,14 @@ class DomainTrace:
 
     level: str                 # "node" or "graph"
     inputs: np.ndarray         # what the head consumed
-    logits: np.ndarray         # (b, n, 2) or (b, 2)
+    logits: np.ndarray         # (b, n, 2) or (b, 2), after any model axis
     probs: np.ndarray
+    log_probs: np.ndarray
+
+    @property
+    def row_axis(self) -> int:
+        """The axis that indexes rows (samples), counted from the end."""
+        return -3 if self.level == "node" else -2
 
 
 def domain_forward(params: ParamSet, trace: ForwardTrace, level: str = "node") -> DomainTrace:
@@ -175,13 +227,14 @@ def domain_forward(params: ParamSet, trace: ForwardTrace, level: str = "node") -
     if params.w_dom is None:
         raise ConfigError("domain head requested but w_dom is not allocated")
     if level == "node":
-        inputs = trace.relu_z
+        inputs, w_dom = trace.relu_z, params.w_dom[..., None, :, :]
     elif level == "graph":
-        inputs = trace.pooled
+        inputs, w_dom = trace.pooled, params.w_dom
     else:
         raise ConfigError(f"unknown domain head level {level!r}")
-    logits = inputs @ params.w_dom
-    return DomainTrace(level=level, inputs=inputs, logits=logits, probs=softmax(logits))
+    logits = inputs @ w_dom
+    probs, log_probs = _softmax_pair(logits)
+    return DomainTrace(level=level, inputs=inputs, logits=logits, probs=probs, log_probs=log_probs)
 
 
 def predict_proba(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:
@@ -201,10 +254,12 @@ def predict_proba(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarr
         # a single (channels, bands) sample, or a shape forward rejects
         return forward(cfg, params, x).probs
     rows = max(1, EVAL_CHUNK_ELEMENTS // (cfg.n_channels * cfg.hidden_dim))
+    prop = normalized_propagator(params.adj)
     # an empty stack still runs one (empty) chunk, for its shape checks
-    return np.concatenate(
-        [forward(cfg, params, x[i : i + rows]).probs for i in range(0, max(len(x), 1), rows)]
-    )
+    return np.concatenate([
+        forward(cfg, params, x[i : i + rows], prop=prop).probs
+        for i in range(0, max(len(x), 1), rows)
+    ])
 
 
 def predict(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:

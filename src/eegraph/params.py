@@ -46,6 +46,8 @@ class ParamSet:
     rebinds each field to its view, so the caller's arrays are not aliased
     and an in-place update of `flat` moves them all. A field rebound later
     no longer aliases `flat`. `w_dom` is present only with a domain head.
+    Tensors with a leading model axis (see `stack`) make `flat` a (k, P)
+    matrix with one model per row.
     """
 
     adj: SymmetricAdjacency
@@ -55,11 +57,34 @@ class ParamSet:
 
     def __post_init__(self):
         arrays = [np.asarray(t, dtype=np.float64) for t in self.tensors().values()]
-        self.flat = np.concatenate(arrays, axis=None)
-        views = np.split(self.flat, np.cumsum([a.size for a in arrays])[:-1])
-        upper, self.w_feat, self.w_class, *dom = (v.reshape(a.shape) for v, a in zip(views, arrays))
+        lead = arrays[0].shape[:-1]
+        self._bind(np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make `flat`, which holds this set's values in order, its vector."""
+        shapes = [np.shape(t) for t in self.tensors().values()]
+        cuts = np.cumsum([int(np.prod(s[flat.ndim - 1 :])) for s in shapes])[:-1]
+        views = np.split(flat, cuts, axis=-1)
+        upper, self.w_feat, self.w_class, *dom = (v.reshape(s) for v, s in zip(views, shapes))
+        self.flat = flat
         self.adj = SymmetricAdjacency(self.adj.n, upper)
         self.w_dom = dom[0] if dom else None
+
+    @classmethod
+    def stack(cls, sets: list["ParamSet"]) -> "ParamSet":
+        """One set over a leading model axis whose `flat` rows back `sets`.
+
+        Each of `sets` is rebound to its row, so updating a model's own
+        `flat` (as `adam_step` does) moves the stacked tensors too.
+        """
+        tensors = [s.tensors() for s in sets]
+        stacked = cls(
+            adj=SymmetricAdjacency(sets[0].adj.n, np.stack([t["adj"] for t in tensors])),
+            **{name: np.stack([t[name] for t in tensors]) for name in tensors[0] if name != "adj"},
+        )
+        for i, s in enumerate(sets):
+            s._bind(stacked.flat[i])
+        return stacked
 
     def check_shapes(self, cfg: ModelConfig) -> None:
         if self.adj.n != cfg.n_channels:

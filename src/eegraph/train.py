@@ -5,8 +5,13 @@ source samples and, when enabled, a paired target batch stacked behind
 them. The classifier reads the source rows and one domain-head call reads
 all rows; one fused backward gives the update directions of both
 objectives under the reversal schedule, and one Adam step applies them.
-Runs are bit-reproducible: every random draw comes from a
-child stream of the run seed, and the same children are spawned whether
+Models whose training sets have the same size train in lockstep
+(`train_lockstep`): their parameters are the rows of one (k, P) matrix,
+and each step runs one forward and one backward over a leading model
+axis, then one Adam step per model. `train` is the one-model case.
+Runs are bit-reproducible, and a model's result does not depend on the
+group it trained in: every random draw comes from a child stream of the
+run seed, one set per model, and the same children are spawned whether
 or not the domain path is active.
 """
 from __future__ import annotations
@@ -31,9 +36,16 @@ from .electrodes import (
 from .errors import ConfigError, DivergenceError
 from .gradients import step_directions
 from .losses import convert_labels, domain_loss, grl_beta, kl_loss, l1_penalty
-from .model import domain_forward, forward, init_params, predict, sample_dropout_mask
+from .model import (
+    EVAL_CHUNK_ELEMENTS,
+    domain_forward,
+    forward,
+    init_params,
+    predict,
+    sample_dropout_mask,
+)
 from .optim import AdamConfig, AdamState, adam_step
-from .params import ModelConfig, ParamSet
+from .params import GradientSet, ModelConfig, ParamSet
 
 
 @dataclass(frozen=True)
@@ -132,6 +144,17 @@ def make_model_config(cfg: TrainConfig, ds: FeatureDataset) -> ModelConfig:
     )
 
 
+def lockstep_size(cfg: TrainConfig, n_channels: int) -> int:
+    """The most models of one config that train in lockstep.
+
+    A training step keeps about 8 (rows, channels, hidden) arrays live per
+    model, where a prediction chunk keeps 2, so a group gets the budget of
+    one prediction chunk, `EVAL_CHUNK_ELEMENTS` elements per array.
+    """
+    rows = cfg.batch_size * (2 if cfg.uses_domain else 1)
+    return max(1, EVAL_CHUNK_ELEMENTS // (8 * rows * n_channels * cfg.hidden_dim))
+
+
 def train(
     train_ds: FeatureDataset,
     target: UnlabeledSet | FeatureDataset | None,
@@ -146,108 +169,156 @@ def train(
     path; a labeled dataset passed here is stripped to features first and
     its labels are never read.
     """
-    if cfg.uses_domain:
-        if target is None:
-            raise ConfigError("domain adaptation is on but no target data was supplied")
-        if isinstance(target, FeatureDataset):
-            target = target.unlabeled()
-        if target.features.shape[1:] != train_ds.features.shape[1:]:
-            raise ConfigError(
-                f"target feature shape {target.features.shape[1:]} does not match "
-                f"source {train_ds.features.shape[1:]}"
-            )
+    return train_lockstep([(train_ds, target)], cfg, layout=layout, global_pairs=global_pairs)[0]
+
+
+def train_lockstep(
+    jobs: list[tuple[FeatureDataset, UnlabeledSet | FeatureDataset | None]],
+    cfg: TrainConfig,
+    *,
+    layout: ElectrodeLayout | None = None,
+    global_pairs: GlobalPairSet | None = None,
+    names: list[str] | None = None,
+) -> list[TrainResult]:
+    """Train one model per (train set, target) job, all steps in lockstep.
+
+    The training sets must have the same size and feature shape, so every
+    model takes the same batch sizes. Each model's result is bitwise that
+    of `train` on its own job. `names` label the models in a
+    `DivergenceError` (e.g. the fold each one belongs to).
+    """
+    train_sets = [ds for ds, _ in jobs]
+    first = train_sets[0]
+    if any(ds.features.shape != first.features.shape or ds.n_classes != first.n_classes
+           for ds in train_sets):
+        raise ConfigError("lockstep training needs training sets of one size and shape")
+    targets = []
+    for train_ds, target in jobs:
+        if cfg.uses_domain:
+            if target is None:
+                raise ConfigError("domain adaptation is on but no target data was supplied")
+            if isinstance(target, FeatureDataset):
+                target = target.unlabeled()
+            if target.features.shape[1:] != train_ds.features.shape[1:]:
+                raise ConfigError(
+                    f"target feature shape {target.features.shape[1:]} does not match "
+                    f"source {train_ds.features.shape[1:]}"
+                )
+        targets.append(target)
     if layout is None:
-        layout, auto_pairs = default_layout_for(train_ds.n_channels)
+        layout, auto_pairs = default_layout_for(first.n_channels)
         if global_pairs is None:
             global_pairs = auto_pairs
-    if layout.n != train_ds.n_channels:
-        raise ConfigError(f"layout has {layout.n} electrodes, data has {train_ds.n_channels} channels")
+    if layout.n != first.n_channels:
+        raise ConfigError(f"layout has {layout.n} electrodes, data has {first.n_channels} channels")
 
-    model_cfg = make_model_config(cfg, train_ds)
+    model_cfg = make_model_config(cfg, first)
     delta = resolve_delta(layout, cfg.delta)
     adj0 = initial_adjacency(layout, global_pairs, delta)
 
     # Child streams are always spawned in the same pattern so toggling the
-    # domain path cannot shift any other random draw.
-    root = np.random.SeedSequence(cfg.seed)
-    init_ss, shuffle_ss, dropout_ss, target_ss = root.spawn(4)
-    params = init_params(
-        model_cfg, layout, init_ss, domain_head=cfg.uses_domain, adj=adj0
-    )
-    state = AdamState.for_params(params, cfg.adam())
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    dropout_rng = np.random.default_rng(dropout_ss)
-    target_epoch_ss = target_ss.spawn(cfg.epochs)
+    # domain path cannot shift any other random draw; each model gets its own.
+    models, shuffle_rngs, dropout_rngs, target_epoch_ss = [], [], [], []
+    for _ in jobs:
+        init_ss, shuffle_ss, dropout_ss, target_ss = np.random.SeedSequence(cfg.seed).spawn(4)
+        models.append(init_params(
+            model_cfg, layout, init_ss, domain_head=cfg.uses_domain, adj=adj0
+        ))
+        shuffle_rngs.append(np.random.default_rng(shuffle_ss))
+        dropout_rngs.append(np.random.default_rng(dropout_ss))
+        target_epoch_ss.append(target_ss.spawn(cfg.epochs))
+    stacked = ParamSet.stack(models)
+    states = [AdamState.for_params(params, cfg.adam()) for params in models]
+    prefixes = [f"{name}: " for name in names] if names else [""] * len(jobs)
 
-    n = train_ds.n_samples
+    n = first.n_samples
     epsilon = cfg.epsilon if cfg.emotion_dl else 0.0
-    targets_all = convert_labels(train_ds.labels, train_ds.label_scheme, epsilon)
+    targets_all = np.stack([convert_labels(ds.labels, ds.label_scheme, epsilon) for ds in train_sets])
+    model_rows = np.arange(len(jobs))[:, None]
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_batches = cfg.epochs * batches_per_epoch
 
-    history = []
+    histories = [[] for _ in jobs]
     done_batches = 0
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_target = None
+        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        epoch_targets = None
         if cfg.uses_domain:
-            epoch_target = resample_target(n, target, target_epoch_ss[epoch])
-        kl_sum = l1_sum = dom_sum = 0.0
+            epoch_targets = [resample_target(n, target, ss[epoch])
+                             for target, ss in zip(targets, target_epoch_ss)]
+        kl_sum, l1_sum, dom_sum = (np.zeros(len(jobs)) for _ in range(3))
         beta = 0.0
         for b in range(batches_per_epoch):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            idx = order[rows]
-            x = train_ds.features[idx]
-            targets = targets_all[idx]
-            mask = sample_dropout_mask(dropout_rng, (len(idx), cfg.hidden_dim), cfg.dropout)
-            tx = epoch_target.features[rows] if cfg.uses_domain else None
-            trace = forward(model_cfg, params, x, mask=mask, target=tx)
-            kl = kl_loss(trace.probs, targets)
-            l1 = l1_penalty(params.adj, cfg.alpha)
+            idx = orders[:, rows]
+            x = np.stack([ds.features[i] for ds, i in zip(train_sets, idx)])
+            batch_targets = targets_all[model_rows, idx]
+            # at rate 0 every unit is kept: no mask, and no draw from a
+            # stream that feeds nothing else
+            mask = None
+            if cfg.dropout > 0.0:
+                shape = (idx.shape[1], cfg.hidden_dim)
+                mask = np.stack([sample_dropout_mask(rng, shape, cfg.dropout) for rng in dropout_rngs])
+            tx = None
+            if cfg.uses_domain:
+                tx = np.stack([t.features[rows] for t in epoch_targets])
+            trace = forward(model_cfg, stacked, x, mask=mask, target=tx)
+            kl = kl_loss(trace.log_probs, batch_targets, log=True)
+            l1 = l1_penalty(stacked.adj, cfg.alpha)
 
-            dom = 0.0
+            dom = np.zeros(len(jobs))
             domain = None
             if cfg.uses_domain:
                 beta = float(grl_beta(done_batches / total_batches))
-                domain = domain_forward(params, trace, cfg.domain_level)
-                dom = domain_loss(domain.probs[: len(idx)], domain.probs[len(idx) :])
+                domain = domain_forward(stacked, trace, cfg.domain_level)
+                dom_src, dom_tgt = np.split(domain.log_probs, [idx.shape[1]], axis=domain.row_axis)
+                dom = domain_loss(dom_src, dom_tgt, log=True, per_model=True)
 
-            if not np.isfinite(kl + l1 + dom):
+            bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))
+            if bad.size:
+                i = bad[0]
                 raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {b} "
-                    f"(kl={kl}, l1={l1}, domain={dom})"
+                    f"{prefixes[i]}non-finite loss at epoch {epoch}, batch {b} "
+                    f"(kl={kl[i]}, l1={l1[i]}, domain={dom[i]})"
                 )
             # Non-finite activations can still leave the loss finite; the
             # directions they poison are reported by adam_step's precheck.
             with np.errstate(invalid="ignore"):
                 directions = step_directions(
-                    model_cfg, params, trace, targets, cfg.alpha, domain, beta
-                )
-            params, state = adam_step(state, params, directions)
+                    model_cfg, stacked, trace, batch_targets, cfg.alpha, domain, beta
+                ).tensors()
+            for i, (params, state) in enumerate(zip(models, states)):
+                own = GradientSet(**{name: d[i] for name, d in directions.items()})
+                try:
+                    adam_step(state, params, own)
+                except DivergenceError as exc:
+                    raise DivergenceError(f"{prefixes[i]}{exc}") from None
             kl_sum += kl
             l1_sum += l1
             dom_sum += dom
             done_batches += 1
-        train_acc = float(
-            (predict(model_cfg, params, train_ds.features) == train_ds.labels).mean()
-        )
-        history.append(
-            {
-                "epoch": epoch,
-                "kl_term": kl_sum,
-                "l1_term": l1_sum,
-                "domain_term": dom_sum,
-                "total": kl_sum + l1_sum + dom_sum,
-                "train_accuracy": train_acc,
-                "beta": beta,
-            }
-        )
+        for i, (ds, params) in enumerate(zip(train_sets, models)):
+            train_acc = float((predict(model_cfg, params, ds.features) == ds.labels).mean())
+            histories[i].append(
+                {
+                    "epoch": epoch,
+                    "kl_term": float(kl_sum[i]),
+                    "l1_term": float(l1_sum[i]),
+                    "domain_term": float(dom_sum[i]),
+                    "total": float(kl_sum[i] + l1_sum[i] + dom_sum[i]),
+                    "train_accuracy": train_acc,
+                    "beta": beta,
+                }
+            )
 
-    return TrainResult(
-        cfg=cfg,
-        model_cfg=model_cfg,
-        params=params,
-        history=history,
-        channel_names=list(layout.names),
-        global_pairs=list(global_pairs.pairs) if global_pairs is not None else None,
-    )
+    return [
+        TrainResult(
+            cfg=cfg,
+            model_cfg=model_cfg,
+            params=params,
+            history=history,
+            channel_names=list(layout.names),
+            global_pairs=list(global_pairs.pairs) if global_pairs is not None else None,
+        )
+        for params, history in zip(models, histories)
+    ]

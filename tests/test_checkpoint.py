@@ -190,3 +190,37 @@ def test_invalid_model_header_names_the_file(tmp_path, field, value):
     path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
     with pytest.raises(CorruptBundleError, match="bad.ckpt"):
         load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    head, body = path.read_bytes().split(b"\n", 1)
+    doc = json.loads(head)
+    edit(doc)
+    path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hidden_dim", 4.7), ("steps", "2"), ("n_channels", 5.0), ("n_classes", True),
+    ("dropout", "0.5"), ("dropout", False), ("has_domain_head", "no"), ("has_domain_head", 1),
+])
+def test_header_types_are_not_coerced(tmp_path, field, value):
+    # a float, string or bool never stands in for a count, nor a string or
+    # number for the domain-head flag
+    path = tmp_path / "typed.ckpt"
+    save_checkpoint(path, sample_ckpt())
+
+    def edit(doc):
+        (doc if field == "has_domain_head" else doc["model"])[field] = value
+
+    _rewrite_header(path, edit)
+    with pytest.raises(CorruptBundleError, match=f"typed.ckpt.*{field}"):
+        load_checkpoint(path)
+
+
+def test_header_accepts_an_integral_dropout(tmp_path):
+    # dropout is a number; a hand-written header may give it without a fraction
+    path = tmp_path / "int.ckpt"
+    ckpt = sample_ckpt()
+    save_checkpoint(path, ckpt)
+    _rewrite_header(path, lambda doc: doc["model"].update(dropout=0))
+    assert load_checkpoint(path).cfg.dropout == 0

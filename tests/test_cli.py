@@ -174,6 +174,8 @@ def test_train_rejects_unknown_config_key(bundle, tmp_path, capsys):
     ("train", "node_dat", "yes"),
     ("train", "batch_size", True),
     ("train", "train_trials", 1.5),
+    ("train", "bands", "alpha"),
+    ("train", "bands", ["band0", 1]),
     ("synth", "seed", 1.5),
     ("synth", "subjects", 2.5),
     ("synth", "class_separation", float("nan")),

@@ -462,3 +462,48 @@ def test_model_check_negative_control():
 def test_model_check_rejects_unknown_corrupt_name():
     with pytest.raises(Exception):
         model_grad_check(seed=0, size="small", corrupt="w_nope")
+
+
+@pytest.mark.parametrize("level", ["node", "graph"])
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_stacked_step_directions_match_each_model_bitwise(level, beta):
+    from eegraph.params import ParamSet
+
+    models = [build(seed, domain_head=True)[0] for seed in range(3)]
+    alone = [build(seed, domain_head=True)[0] for seed in range(3)]
+    stacked = ParamSet.stack(models)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(3, 4, CFG.n_channels, CFG.in_dim))
+    tx = rng.normal(size=(3, 4, CFG.n_channels, CFG.in_dim))
+    mask = sample_dropout_mask(rng, (3, 4, CFG.hidden_dim), 0.5)
+    targets = rng.dirichlet(np.ones(CFG.n_classes), size=(3, 4))
+    cfg = replace(CFG, dropout=0.5)
+    tr = forward(cfg, stacked, x, mask=mask, target=tx)
+    got = step_directions(cfg, stacked, tr, targets, 0.01, domain_forward(stacked, tr, level), beta)
+    for i, p in enumerate(alone):
+        ref_tr = forward(cfg, p, x[i], mask=mask[i], target=tx[i])
+        want = step_directions(cfg, p, ref_tr, targets[i], 0.01, domain_forward(p, ref_tr, level), beta)
+        for name, g in want.tensors().items():
+            assert np.array_equal(got.tensors()[name][i], g), name
+
+
+def test_backward_reads_the_unpacked_adjacency_from_the_trace(monkeypatch):
+    # the forward unpacks the packed triangle once; the backward reuses it
+    import importlib
+
+    graph = importlib.import_module("eegraph.graph")
+    unpacks = []
+    real = graph.unpack_upper
+
+    def counted(*args):
+        unpacks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(graph, "unpack_upper", counted)
+    params, x = build(4, domain_head=True)
+    rng = np.random.default_rng(4)
+    tr = forward(CFG, params, x, target=rng.normal(size=x.shape))
+    assert len(unpacks) == 1
+    targets = convert_labels(np.array([0, 1, 2]), "seed3", 0.2)
+    step_directions(CFG, params, tr, targets, 0.01, domain_forward(params, tr, "node"), 0.5)
+    assert len(unpacks) == 1

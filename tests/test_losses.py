@@ -18,6 +18,7 @@ from eegraph.losses import (
     seed4_distribution,
 )
 from eegraph.graph import SymmetricAdjacency
+from eegraph.model import log_softmax, softmax
 
 EPS_GRID = [k / 10 for k in range(11)]
 
@@ -142,6 +143,57 @@ def test_kl_sums_over_batch():
     t = np.array([[1.0, 0.0], [1.0, 0.0]])
     p = np.array([[0.5, 0.5], [0.25, 0.75]])
     assert kl_loss(p, t) == pytest.approx(np.log(2.0) + np.log(4.0))
+
+
+def test_kl_from_confident_logits_is_finite():
+    # a logit gap of 800 underflows softmax to an exact 0, so the KL read
+    # from probabilities is inf; from logsumexp log-probabilities it is
+    # the finite value t2 * 805 plus the target's own entropy term
+    logits = np.array([[800.0, 0.0, -5.0]])
+    target = convert_labels(np.array([1]), "seed3", 0.4)
+    with np.errstate(divide="ignore"):
+        assert kl_loss(softmax(logits), target) == np.inf
+    got = kl_loss(log_softmax(logits), target, log=True)
+    t = target[0]
+    want = t[0] * np.log(t[0]) + t[1] * (np.log(t[1]) + 800.0) + t[2] * (np.log(t[2]) + 805.0)
+    assert np.isfinite(got) and got == pytest.approx(want, rel=1e-12)
+
+
+def test_domain_loss_from_confident_logits_is_finite():
+    logits = np.array([[900.0, 0.0]])
+    with np.errstate(divide="ignore"):
+        assert domain_loss(softmax(logits), softmax(logits)) == np.inf
+    got = domain_loss(log_softmax(logits), log_softmax(logits), log=True)
+    assert got == pytest.approx(900.0, rel=1e-12)
+
+
+def test_log_losses_match_probability_losses():
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(6, 4))
+    target = rng.dirichlet(np.ones(4), size=6)
+    assert kl_loss(log_softmax(logits), target, log=True) == pytest.approx(
+        kl_loss(softmax(logits), target), rel=1e-12)
+    dom = rng.normal(size=(6, 5, 2))
+    assert domain_loss(log_softmax(dom[:3]), log_softmax(dom[3:]), log=True) == pytest.approx(
+        domain_loss(softmax(dom[:3]), softmax(dom[3:])), rel=1e-12)
+
+
+def test_losses_keep_a_leading_model_axis():
+    # one loss per model, each bitwise the loss of that model alone
+    rng = np.random.default_rng(4)
+    logits = rng.normal(size=(3, 7, 4))
+    target = rng.dirichlet(np.ones(4), size=(3, 7))
+    dom = log_softmax(rng.normal(size=(3, 10, 6, 2)))
+    upper = rng.normal(size=(3, 10))
+    kl = kl_loss(log_softmax(logits), target, log=True)
+    per_node = domain_loss(dom[:, :5], dom[:, 5:], log=True, per_model=True)
+    pooled = domain_loss(dom[:, :5, 0], dom[:, 5:, 0], log=True, per_model=True)
+    l1 = l1_penalty(SymmetricAdjacency(4, upper), 0.3)
+    for i in range(3):
+        assert kl[i] == kl_loss(log_softmax(logits[i]), target[i], log=True)
+        assert per_node[i] == domain_loss(dom[i, :5], dom[i, 5:], log=True)
+        assert pooled[i] == domain_loss(dom[i, :5, 0], dom[i, 5:, 0], log=True)
+        assert l1[i] == l1_penalty(SymmetricAdjacency(4, upper[i]), 0.3)
 
 
 def test_l1_counts_mirrored_entries_twice():

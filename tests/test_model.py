@@ -380,3 +380,69 @@ def test_predict_memory_is_bounded_by_the_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def _count_calls(monkeypatch, module_name, name):
+    import importlib
+
+    module = importlib.import_module(module_name)
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_predict_normalizes_the_adjacency_once(monkeypatch):
+    # 2400 rows at 62 channels and h64 run as 37 chunks of 66 rows
+    cfg = CHUNK_SHAPES["n62_h64"]
+    p = make_params(cfg=cfg)
+    x = np.random.default_rng(0).normal(size=(2400, cfg.n_channels, cfg.in_dim))
+    want = np.concatenate([forward(cfg, p, x[i : i + 66]).probs for i in range(0, 2400, 66)])
+    props = _count_calls(monkeypatch, "eegraph.model", "normalized_propagator")
+    unpacks = _count_calls(monkeypatch, "eegraph.graph", "unpack_upper")
+    got = predict_proba(cfg, p, x)
+    assert rows_per_chunk(cfg) == 66
+    assert len(props) == 1 and len(unpacks) == 1
+    assert np.array_equal(got, want)
+
+
+def test_evaluation_trace_cannot_be_differentiated():
+    p = make_params()
+    x = np.random.default_rng(0).normal(size=(3, CFG.n_channels, CFG.in_dim))
+    tr = forward(CFG, p, x, prop=normalized_propagator(p.adj))
+    assert tr.full is None and tr.deg is None
+    assert np.array_equal(tr.probs, forward(CFG, p, x).probs)
+
+
+def test_stacked_parameters_forward_each_model_bitwise():
+    # a leading model axis runs every model on its own rows, each bitwise
+    # the forward of that model alone
+    from eegraph.params import ParamSet
+
+    models = [make_params(seed=s, domain_head=True) for s in range(3)]
+    alone = [make_params(seed=s, domain_head=True) for s in range(3)]
+    stacked = ParamSet.stack(models)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 7, CFG.n_channels, CFG.in_dim))
+    tx = rng.normal(size=(3, 7, CFG.n_channels, CFG.in_dim))
+    mask = sample_dropout_mask(rng, (3, 7, CFG.hidden_dim), 0.5)
+    tr = forward(CFG, stacked, x, mask=mask, target=tx)
+    for level in ("node", "graph"):
+        dom = domain_forward(stacked, tr, level)
+        for i, p in enumerate(alone):
+            ref = forward(CFG, p, x[i], mask=mask[i], target=tx[i])
+            for name in ("full", "deg", "prop", "z", "pooled", "logits", "probs", "log_probs"):
+                assert np.array_equal(getattr(tr, name)[i], getattr(ref, name)), name
+            ref_dom = domain_forward(p, ref, level)
+            assert np.array_equal(dom.probs[i], ref_dom.probs)
+            assert np.array_equal(dom.log_probs[i], ref_dom.log_probs)
+    # the stacked rows are the models' own vectors
+    models[1].flat[0] += 1.0
+    assert stacked.adj.upper[1, 0] == models[1].adj.upper[0]
+    with pytest.raises(ConfigError):
+        forward(CFG, stacked, x[0])

@@ -254,3 +254,153 @@ def test_training_reduces_loss_on_easy_data():
                                         lr=0.005, dropout=0.0, seed=0))
     assert res.history[-1]["kl_term"] < 0.5 * res.history[0]["kl_term"]
     assert res.history[-1]["train_accuracy"] >= 0.9
+
+
+# --- lockstep groups ---------------------------------------------------------
+
+# the ablation gate's shape (4 channels, 5 bands, 4 classes, h8, batch 12) on
+# 4 subjects of 24 samples: every LOSO fold trains on 72 samples, 6 batches
+GATE_DS = synthesize(SynthConfig(subjects=4, trials_per_class=1, samples_per_trial=6,
+                                 n_channels=4, n_bands=5, n_classes=4,
+                                 subject_shift_scale=2.0, label_noise_rate=0.2, seed=77))
+GATE = dict(epochs=2, lr=0.005, hidden_dim=8, batch_size=12, dropout=0.0, alpha=0.01, seed=2)
+
+
+def _checkpoint_bytes(result, path):
+    from eegraph.checkpoint import Checkpoint, save_checkpoint
+
+    save_checkpoint(path, Checkpoint(cfg=result.model_cfg, params=result.params,
+                                     channel_names=result.channel_names,
+                                     global_pairs=result.global_pairs))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("variant", [
+    dict(node_dat=True),
+    dict(dat_graph_level=True),
+    dict(emotion_dl=True, epsilon=0.4),
+    dict(node_dat=True, emotion_dl=True, epsilon=0.4, dropout=0.3),
+    dict(weight_decay=0.05),
+], ids=["node_dat", "dat_graph_level", "emotion_dl", "dropout", "weight_decay"])
+def test_lockstep_group_matches_separate_runs_bitwise(tmp_path, variant):
+    from eegraph.data import split_loso
+    from eegraph.train import train_lockstep
+
+    cfg = TrainConfig(**{**GATE, **variant})
+    jobs = [(fold_train, fold_test.unlabeled() if cfg.uses_domain else None)
+            for fold_train, fold_test in split_loso(GATE_DS)]
+    grouped = train_lockstep(jobs, cfg)
+    assert len(grouped) == len(jobs)
+    for i, ((fold_train, target), got) in enumerate(zip(jobs, grouped)):
+        alone = train(fold_train, target, cfg)
+        assert np.array_equal(got.params.flat, alone.params.flat)
+        assert got.history == alone.history
+        assert (_checkpoint_bytes(got, tmp_path / f"g{i}.ckpt")
+                == _checkpoint_bytes(alone, tmp_path / f"a{i}.ckpt"))
+
+
+def _record_groups(monkeypatch):
+    """Wrap the protocol's lockstep trainer; collect the fold names of each group."""
+    eval_module = importlib.import_module("eegraph.eval")
+    groups = []
+    real = eval_module.train_lockstep
+
+    def recorded(jobs, cfg, **kwargs):
+        groups.append(kwargs["names"])
+        return real(jobs, cfg, **kwargs)
+
+    monkeypatch.setattr(eval_module, "train_lockstep", recorded)
+    return groups
+
+
+def _unequal_subjects():
+    # subject 0 loses half of its first trial: 21 samples instead of 24
+    first = (GATE_DS.subject_ids == 0) & (GATE_DS.trial_ids == GATE_DS.trial_ids.min())
+    drop = np.flatnonzero(first)[:3]
+    return GATE_DS.take(np.setdiff1d(np.arange(GATE_DS.n_samples), drop))
+
+
+@pytest.mark.parametrize("protocol", ["loso", "subject_dependent"])
+def test_unequal_folds_train_in_separate_groups(monkeypatch, protocol):
+    from eegraph.data import split_loso, split_subject_dependent
+    from eegraph.eval import run_protocol
+
+    ds = _unequal_subjects()
+    if protocol == "loso":
+        folds = split_loso(ds)
+        kwargs = {}
+    else:
+        # the first trial trains; subject 0's has 3 samples, the others' 6
+        folds = split_subject_dependent(ds, 1)
+        kwargs = {"train_trials": 1}
+    sizes = [fold_train.n_samples for fold_train, _ in folds]
+    assert sizes[0] != sizes[1] == sizes[2] == sizes[3]
+    groups = _record_groups(monkeypatch)
+    cfg = TrainConfig(**GATE, node_dat=True)
+    report, results = run_protocol(ds, protocol, cfg, **kwargs)
+    assert groups == [["fold 0"], ["fold 1", "fold 2", "fold 3"]]
+    for (fold_train, fold_test), result in zip(folds, results):
+        alone = train(fold_train, fold_test, cfg)
+        assert np.array_equal(result.params.flat, alone.params.flat)
+        assert result.history == alone.history
+
+
+def test_lockstep_size_at_the_workload_shapes(monkeypatch):
+    from eegraph.eval import run_protocol
+    from eegraph.train import lockstep_size
+
+    # gate: 4 channels, h8, batch 12, domain on; all 8 LOSO folds share a group
+    gate = TrainConfig(hidden_dim=8, batch_size=12, node_dat=True, epochs=1, dropout=0.0)
+    assert lockstep_size(gate, 4) >= 8
+    ds = synthesize(SynthConfig(subjects=8, trials_per_class=1, samples_per_trial=3,
+                                n_channels=4, n_bands=5, n_classes=4, seed=77))
+    groups = _record_groups(monkeypatch)
+    run_protocol(ds, "loso", gate)
+    assert groups == [[f"fold {i}" for i in range(8)]]
+    # 62 channels at h16, batch 16 with the domain path, and at h64, batch 128 without
+    assert lockstep_size(TrainConfig(hidden_dim=16, batch_size=16, node_dat=True), 62) == 1
+    assert lockstep_size(TrainConfig(hidden_dim=64, batch_size=128), 62) == 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
+@pytest.mark.parametrize("poison", [np.nan, np.inf])
+def test_lockstep_divergence_names_the_model(poison):
+    # NaN makes the loss non-finite; inf leaves it finite and is caught by
+    # adam_step's precheck on the directions
+    from eegraph.data import split_loso
+    from eegraph.train import train_lockstep
+
+    jobs = [(fold_train, None) for fold_train, _ in split_loso(GATE_DS)[:3]]
+    broken = jobs[1][0].take(np.arange(jobs[1][0].n_samples))
+    broken.features[0, 0, 0] = poison
+    jobs[1] = (broken, None)
+    with pytest.raises(DivergenceError, match="^fold 1: "):
+        train_lockstep(jobs, TrainConfig(**GATE), names=["fold 0", "fold 1", "fold 2"])
+
+
+def test_lockstep_rejects_unequal_training_sets():
+    from eegraph.data import split_loso
+    from eegraph.train import train_lockstep
+
+    folds = split_loso(_unequal_subjects())
+    with pytest.raises(ConfigError):
+        train_lockstep([(folds[0][0], None), (folds[1][0], None)], TrainConfig(**GATE))
+
+
+def test_adam_steps_once_per_model_step(monkeypatch):
+    from eegraph.eval import run_protocol
+
+    train_module = importlib.import_module("eegraph.train")
+    calls = []
+    real = train_module.adam_step
+
+    def counted(state, params, directions):
+        calls.append(id(state))
+        return real(state, params, directions)
+
+    monkeypatch.setattr(train_module, "adam_step", counted)
+    cfg = TrainConfig(**GATE, node_dat=True)
+    run_protocol(GATE_DS, "loso", cfg)
+    steps_per_model = cfg.epochs * -(-72 // cfg.batch_size)
+    assert len(calls) == 4 * steps_per_model
+    assert sorted(calls.count(s) for s in set(calls)) == [steps_per_model] * 4
