@@ -1,7 +1,7 @@
 """Evaluation protocols, metrics, and trained-model inspection.
 
-`run_protocol` trains the folds whose training sets have the same size
-together, in lockstep groups of at most `lockstep_size` models, and
+`run_protocol` trains one model per fold in one `train_lockstep` call,
+which groups the folds whose training sets have the same size, and
 scores each fold's model on its held-out set.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .data import FeatureDataset, split_loso, split_subject_dependent
 from .errors import ConfigError
 from .model import predict
 from .params import ModelConfig, ParamSet
-from .train import TrainConfig, TrainResult, lockstep_size, train_lockstep
+from .train import TrainConfig, TrainResult, train_lockstep
 
 
 @dataclass
@@ -87,15 +87,10 @@ def run_protocol(
     else:
         raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
 
-    results: list[TrainResult] = [None] * len(folds)
-    for group in _lockstep_groups(
-        [fold_train.n_samples for fold_train, _ in folds], lockstep_size(cfg, ds.n_channels)
-    ):
-        jobs = [(folds[i][0], folds[i][1].unlabeled() if cfg.uses_domain else None) for i in group]
-        trained = train_lockstep(jobs, cfg, layout=layout, global_pairs=global_pairs,
-                                 names=[f"fold {i}" for i in group])
-        for i, result in zip(group, trained):
-            results[i] = result
+    jobs = [(fold_train, fold_test.unlabeled() if cfg.uses_domain else None)
+            for fold_train, fold_test in folds]
+    results = train_lockstep(jobs, cfg, layout=layout, global_pairs=global_pairs,
+                             names=[f"fold {i}" for i in range(len(folds))])
 
     accuracies: list[float] = []
     infos: list[dict] = []
@@ -112,14 +107,6 @@ def run_protocol(
         infos.append(info)
     report = EvalReport(fold_accuracies=accuracies, confusion=confusion, fold_info=infos)
     return report, results
-
-
-def _lockstep_groups(sizes: list[int], cap: int) -> list[list[int]]:
-    """Indices with equal sizes, in order, split into groups of at most `cap`."""
-    by_size: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        by_size.setdefault(size, []).append(i)
-    return [same[j : j + cap] for same in by_size.values() for j in range(0, len(same), cap)]
 
 
 def activation_map(params: ParamSet) -> np.ndarray:

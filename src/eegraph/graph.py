@@ -139,17 +139,14 @@ def degree(adj: SymmetricAdjacency | np.ndarray) -> np.ndarray:
     return deg
 
 
-def normalized_propagator(
-    adj: SymmetricAdjacency | np.ndarray, deg: np.ndarray | None = None
-) -> np.ndarray:
-    """Degree-normalized propagation matrix D^(-1/2) A D^(-1/2), sign-preserving.
+def normalized_propagator(adj: SymmetricAdjacency) -> np.ndarray:
+    """Degree-normalized propagation matrix D^(-1/2) A D^(-1/2), sign-preserving."""
+    full = adj.full()
+    return _normalize(full, degree(full))
 
-    `adj` is a packed adjacency or its full matrix; pass the degrees of a
-    full matrix as `deg` when they are already known.
-    """
-    full = adj.full() if isinstance(adj, SymmetricAdjacency) else adj
-    if deg is None:
-        deg = degree(full)
+
+def _normalize(full: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The propagator of a full adjacency whose degrees are already known."""
     inv_sqrt = 1.0 / np.sqrt(deg)
     return full * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .electrodes import ElectrodeLayout, initial_adjacency
 from .errors import ConfigError
-from .graph import SymmetricAdjacency, degree, normalized_propagator
+from .graph import SymmetricAdjacency, _normalize, degree, normalized_propagator
 from .params import ModelConfig, ParamSet, xavier_init
 
 # Float64 elements in one (rows, n_channels, hidden_dim) array of a
@@ -34,31 +34,16 @@ def relu(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax over the last axis and its logsumexp log, from one max shift.
-
-    Two columns (the domain head) are reduced by one elementwise max and
-    one add: the same values as the axis reductions, which cost more per
-    row than the arithmetic at that width.
-    """
-    if a.shape[-1] == 2:
-        shifted = a - np.maximum(a[..., :1], a[..., 1:])
-        e = np.exp(shifted)
-        total = e[..., :1] + e[..., 1:]
-    else:
-        shifted = a - a.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis and its logsumexp log, from one max shift."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
     return e / total, shifted - np.log(total)
 
 
 def softmax(a: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis, safe for large logits."""
     return _softmax_pair(a)[0]
-
-
-def log_softmax(a: np.ndarray) -> np.ndarray:
-    """Log-probabilities by logsumexp: finite where softmax underflows to 0."""
-    return _softmax_pair(a)[1]
 
 
 def init_params(
@@ -169,7 +154,7 @@ def forward(
     if prop is None:
         full = params.adj.full()
         deg = degree(full)
-        prop = normalized_propagator(full, deg)
+        prop = _normalize(full, deg)
     hops = [x]
     for _ in range(cfg.steps):
         hops.append(np.matmul(prop[..., None, :, :], hops[-1]))

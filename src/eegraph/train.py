@@ -144,17 +144,6 @@ def make_model_config(cfg: TrainConfig, ds: FeatureDataset) -> ModelConfig:
     )
 
 
-def lockstep_size(cfg: TrainConfig, n_channels: int) -> int:
-    """The most models of one config that train in lockstep.
-
-    A training step keeps about 8 (rows, channels, hidden) arrays live per
-    model, where a prediction chunk keeps 2, so a group gets the budget of
-    one prediction chunk, `EVAL_CHUNK_ELEMENTS` elements per array.
-    """
-    rows = cfg.batch_size * (2 if cfg.uses_domain else 1)
-    return max(1, EVAL_CHUNK_ELEMENTS // (8 * rows * n_channels * cfg.hidden_dim))
-
-
 def train(
     train_ds: FeatureDataset,
     target: UnlabeledSet | FeatureDataset | None,
@@ -180,18 +169,51 @@ def train_lockstep(
     global_pairs: GlobalPairSet | None = None,
     names: list[str] | None = None,
 ) -> list[TrainResult]:
-    """Train one model per (train set, target) job, all steps in lockstep.
+    """Train one model per (train set, target) job; results in job order.
 
-    The training sets must have the same size and feature shape, so every
-    model takes the same batch sizes. Each model's result is bitwise that
-    of `train` on its own job. `names` label the models in a
+    Jobs whose training sets have the same shape train in lockstep, in
+    groups of at most `_group_size` models. Each model's result is
+    bitwise that of `train` on its own job. `names` label the models in a
     `DivergenceError` (e.g. the fold each one belongs to).
     """
+    by_shape: dict[tuple, list[int]] = {}
+    for i, (ds, _) in enumerate(jobs):
+        by_shape.setdefault((ds.features.shape, ds.n_classes), []).append(i)
+    results: list[TrainResult] = [None] * len(jobs)
+    for same in by_shape.values():
+        cap = _group_size(cfg, jobs[same[0]][0].n_channels)
+        for j in range(0, len(same), cap):
+            group = same[j : j + cap]
+            trained = _train_group(
+                [jobs[i] for i in group], cfg, layout, global_pairs,
+                [f"{names[i]}: " for i in group] if names else [""] * len(group),
+            )
+            for i, result in zip(group, trained):
+                results[i] = result
+    return results
+
+
+def _group_size(cfg: TrainConfig, n_channels: int) -> int:
+    """The most models of one config that train in lockstep.
+
+    A training step keeps about 8 (rows, channels, hidden) arrays live per
+    model, where a prediction chunk keeps 2, so a group gets the budget of
+    one prediction chunk, `EVAL_CHUNK_ELEMENTS` elements per array.
+    """
+    rows = cfg.batch_size * (2 if cfg.uses_domain else 1)
+    return max(1, EVAL_CHUNK_ELEMENTS // (8 * rows * n_channels * cfg.hidden_dim))
+
+
+def _train_group(
+    jobs: list[tuple[FeatureDataset, UnlabeledSet | FeatureDataset | None]],
+    cfg: TrainConfig,
+    layout: ElectrodeLayout | None,
+    global_pairs: GlobalPairSet | None,
+    prefixes: list[str],
+) -> list[TrainResult]:
+    """Train the models of jobs with training sets of one shape, all steps in lockstep."""
     train_sets = [ds for ds, _ in jobs]
     first = train_sets[0]
-    if any(ds.features.shape != first.features.shape or ds.n_classes != first.n_classes
-           for ds in train_sets):
-        raise ConfigError("lockstep training needs training sets of one size and shape")
     targets = []
     for train_ds, target in jobs:
         if cfg.uses_domain:
@@ -229,7 +251,6 @@ def train_lockstep(
         target_epoch_ss.append(target_ss.spawn(cfg.epochs))
     stacked = ParamSet.stack(models)
     states = [AdamState.for_params(params, cfg.adam()) for params in models]
-    prefixes = [f"{name}: " for name in names] if names else [""] * len(jobs)
 
     n = first.n_samples
     epsilon = cfg.epsilon if cfg.emotion_dl else 0.0

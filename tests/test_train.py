@@ -300,16 +300,16 @@ def test_lockstep_group_matches_separate_runs_bitwise(tmp_path, variant):
 
 
 def _record_groups(monkeypatch):
-    """Wrap the protocol's lockstep trainer; collect the fold names of each group."""
-    eval_module = importlib.import_module("eegraph.eval")
+    """Wrap the lockstep group trainer; collect the model names of each group."""
+    train_module = importlib.import_module("eegraph.train")
     groups = []
-    real = eval_module.train_lockstep
+    real = train_module._train_group
 
-    def recorded(jobs, cfg, **kwargs):
-        groups.append(kwargs["names"])
-        return real(jobs, cfg, **kwargs)
+    def recorded(jobs, cfg, layout, global_pairs, prefixes):
+        groups.append([prefix.removesuffix(": ") for prefix in prefixes])
+        return real(jobs, cfg, layout, global_pairs, prefixes)
 
-    monkeypatch.setattr(eval_module, "train_lockstep", recorded)
+    monkeypatch.setattr(train_module, "_train_group", recorded)
     return groups
 
 
@@ -345,21 +345,21 @@ def test_unequal_folds_train_in_separate_groups(monkeypatch, protocol):
         assert result.history == alone.history
 
 
-def test_lockstep_size_at_the_workload_shapes(monkeypatch):
+def test_group_size_at_the_workload_shapes(monkeypatch):
     from eegraph.eval import run_protocol
-    from eegraph.train import lockstep_size
+    from eegraph.train import _group_size
 
     # gate: 4 channels, h8, batch 12, domain on; all 8 LOSO folds share a group
     gate = TrainConfig(hidden_dim=8, batch_size=12, node_dat=True, epochs=1, dropout=0.0)
-    assert lockstep_size(gate, 4) >= 8
+    assert _group_size(gate, 4) >= 8
     ds = synthesize(SynthConfig(subjects=8, trials_per_class=1, samples_per_trial=3,
                                 n_channels=4, n_bands=5, n_classes=4, seed=77))
     groups = _record_groups(monkeypatch)
     run_protocol(ds, "loso", gate)
     assert groups == [[f"fold {i}" for i in range(8)]]
     # 62 channels at h16, batch 16 with the domain path, and at h64, batch 128 without
-    assert lockstep_size(TrainConfig(hidden_dim=16, batch_size=16, node_dat=True), 62) == 1
-    assert lockstep_size(TrainConfig(hidden_dim=64, batch_size=128), 62) == 1
+    assert _group_size(TrainConfig(hidden_dim=16, batch_size=16, node_dat=True), 62) == 1
+    assert _group_size(TrainConfig(hidden_dim=64, batch_size=128), 62) == 1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
@@ -378,13 +378,19 @@ def test_lockstep_divergence_names_the_model(poison):
         train_lockstep(jobs, TrainConfig(**GATE), names=["fold 0", "fold 1", "fold 2"])
 
 
-def test_lockstep_rejects_unequal_training_sets():
+def test_lockstep_groups_jobs_by_size_and_keeps_their_order(monkeypatch):
     from eegraph.data import split_loso
     from eegraph.train import train_lockstep
 
+    # fold 0 trains on 72 samples, folds 1 and 2 on 69
     folds = split_loso(_unequal_subjects())
-    with pytest.raises(ConfigError):
-        train_lockstep([(folds[0][0], None), (folds[1][0], None)], TrainConfig(**GATE))
+    jobs = [(folds[1][0], None), (folds[0][0], None), (folds[2][0], None)]
+    groups = _record_groups(monkeypatch)
+    cfg = TrainConfig(**GATE)
+    results = train_lockstep(jobs, cfg, names=["a", "b", "c"])
+    assert groups == [["a", "c"], ["b"]]
+    for (fold_train, _), result in zip(jobs, results):
+        assert np.array_equal(result.params.flat, train(fold_train, None, cfg).params.flat)
 
 
 def test_adam_steps_once_per_model_step(monkeypatch):
