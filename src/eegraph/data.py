@@ -23,6 +23,7 @@ DEFAULT_BANDS = ("delta", "theta", "alpha", "beta", "gamma")
 MANIFEST_NAME = "manifest.json"
 FEATURES_NAME = "features.f32"
 LABELS_NAME = "labels.i64"
+MANIFEST_COUNTS = ("n_samples", "n_channels", "n_bands", "n_classes")
 
 
 def _band_names_for(d: int) -> list[str]:
@@ -154,16 +155,17 @@ def load_dataset(path) -> FeatureDataset:
     except json.JSONDecodeError as exc:
         raise CorruptBundleError(f"{mpath}: invalid JSON ({exc})") from None
     try:
-        n = int(manifest["n_samples"])
-        channels = int(manifest["n_channels"])
-        bands = int(manifest["n_bands"])
-        c = int(manifest["n_classes"])
+        counts = [manifest[name] for name in MANIFEST_COUNTS]
         band_names = list(manifest["band_names"])
         scheme = manifest["label_scheme"]
         subject_ids = np.array(manifest["subject_ids"], dtype=np.int64)
         trial_ids = np.array(manifest["trial_ids"], dtype=np.int64)
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptBundleError(f"{mpath}: bad manifest field ({exc})") from None
+    for name, value in zip(MANIFEST_COUNTS, counts):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise CorruptBundleError(f"{mpath}: {name} must be a JSON integer, got {value!r}")
+    n, channels, bands, c = counts
     if isinstance(scheme, bool) or not isinstance(scheme, (str, int)):
         raise CorruptBundleError(f"{mpath}: label_scheme must be a name or class count")
     try:

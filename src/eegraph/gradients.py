@@ -5,13 +5,15 @@ The computation graph never changes shape, so each adjoint is written out
 by hand instead of taping operations. The classifier and the domain head
 reach the shared parameters through the same propagation chain, so a
 training step takes one forward trace of the source rows with the target
-rows stacked behind them, combines both gradients at its node features z
-and runs one backward through the chain (`step_directions`), built from
-GEMMs only. `class_backward` and `domain_backward` give each objective's
-own gradient through that same backward. A trace with a leading model
-axis gives directions with that axis, each model's bitwise those of a
-step on it alone. Subgradients at the ReLU and absolute-value kinks are
-taken as 0. Everything runs in float64.
+rows stacked behind them, combines both gradients at its rectified node
+features relu_z, gates the sum by the ReLU once and runs one backward
+through the chain (`step_directions`), built from GEMMs only. The gate
+reads `relu_z > 0`, since the forward keeps no pre-activation z.
+`class_backward` and `domain_backward` give each objective's own
+gradient, each gated on its own, through that same backward. A trace
+with a leading model axis gives directions with that axis, each model's
+bitwise those of a step on it alone. Subgradients at the ReLU and
+absolute-value kinks are taken as 0. Everything runs in float64.
 """
 from __future__ import annotations
 
@@ -91,10 +93,25 @@ def l1_subgradient(adj: SymmetricAdjacency, alpha: float) -> np.ndarray:
     return g
 
 
+def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
+    """The gradient at z of a gradient at relu_z, for the trace's leading rows.
+
+    `g_relu` may be broadcast over channels (a pooled gradient). The gate
+    is a multiply, so a non-finite gradient at a dead unit stays NaN for
+    adam_step's precheck to report.
+    """
+    rows = g_relu.shape[-3]
+    return (trace.relu_z[..., :rows, :, :] > 0.0) * g_relu
+
+
 def _class_head_backward(
     params: ParamSet, trace: ForwardTrace, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classifier-head gradient and the summed KL's gradient at the source rows' z."""
+    """Classifier-head gradient and the summed KL's gradient at the source rows' relu_z.
+
+    Sum pooling hands every node the pooled gradient, so the second array
+    is (rows, 1, hidden), broadcast over the channels.
+    """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.probs.shape:
         raise ConfigError(f"targets shape {targets.shape} != probs {trace.probs.shape}")
@@ -103,21 +120,19 @@ def _class_head_backward(
     g_pooled = g_logits @ params.w_class.swapaxes(-1, -2)
     if trace.mask is not None:
         g_pooled = g_pooled * trace.mask * trace.keep_scale
-    # sum pooling hands every node the pooled gradient; the ReLU gates it by
-    # a multiply, so a non-finite gradient at a dead unit stays NaN for
-    # adam_step's precheck to report
-    b = g_pooled.shape[-2]
-    return g_w_class, (trace.z[..., :b, :, :] > 0.0) * g_pooled[..., None, :]
+    return g_w_class, g_pooled[..., None, :]
 
 
 def _domain_head_backward(
     params: ParamSet, trace: ForwardTrace, dom: DomainTrace, n_source: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Domain-head gradient and the discrimination loss's gradient at z.
+    """Domain-head gradient and the discrimination loss's gradient at relu_z.
 
     Rows below `n_source` are source (domain 0), the rest target (domain 1).
     The head's gradient sums a source GEMM and a target GEMM, in that
-    order, so it does not depend on how the rows were stacked.
+    order, so it does not depend on how the rows were stacked. At graph
+    level the gradient at relu_z is (rows, 1, hidden), broadcast over the
+    channels.
     """
     if params.w_dom is None:
         raise ConfigError("domain gradients requested without a domain head")
@@ -134,10 +149,8 @@ def _domain_head_backward(
                + per_model_rows(in_tgt).swapaxes(-1, -2) @ per_model_rows(g_tgt))
     w_dom_t = params.w_dom.swapaxes(-1, -2)
     if dom.level == "node":
-        g_inputs = g_dlogits @ w_dom_t[..., None, :, :]
-    else:
-        g_inputs = (g_dlogits @ w_dom_t)[..., None, :]
-    return g_w_dom, (trace.z > 0.0) * g_inputs
+        return g_w_dom, g_dlogits @ w_dom_t[..., None, :, :]
+    return g_w_dom, (g_dlogits @ w_dom_t)[..., None, :]
 
 
 def class_backward(
@@ -152,8 +165,8 @@ def class_backward(
     Touches the adjacency, the feature transform, and the classifier head;
     the domain head slot stays None.
     """
-    g_w_class, g_z = _class_head_backward(params, trace, targets)
-    g_adj, g_w_feat = _shared_backward(cfg, params, trace, g_z, alpha)
+    g_w_class, g_relu = _class_head_backward(params, trace, targets)
+    g_adj, g_w_feat = _shared_backward(cfg, params, trace, _relu_gate(trace, g_relu), alpha)
     return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=None)
 
 
@@ -170,12 +183,11 @@ def domain_backward(
     through one shared backward. The classifier head is untouched (zeros).
     """
     (src, src_dom), (tgt, tgt_dom) = source, target
-    g_w_dom_src, g_z_src = _domain_head_backward(params, src, src_dom, len(src.z))
-    g_w_dom_tgt, g_z_tgt = _domain_head_backward(params, tgt, tgt_dom, 0)
+    g_w_dom_src, g_src = _domain_head_backward(params, src, src_dom, len(src.relu_z))
+    g_w_dom_tgt, g_tgt = _domain_head_backward(params, tgt, tgt_dom, 0)
     stacked = replace(src, hops=[np.concatenate(pair) for pair in zip(src.hops, tgt.hops)])
-    g_adj, g_w_feat = _shared_backward(
-        cfg, params, stacked, np.concatenate([g_z_src, g_z_tgt]), 0.0
-    )
+    g_z = np.concatenate([_relu_gate(src, g_src), _relu_gate(tgt, g_tgt)])
+    g_adj, g_w_feat = _shared_backward(cfg, params, stacked, g_z, 0.0)
     return GradientSet(
         adj=g_adj,
         w_feat=g_w_feat,
@@ -199,25 +211,26 @@ def step_directions(
     L1) and the domain head descends its own loss. The shared parameters
     follow the classification gradient minus beta times the domain
     gradient (the reversal); both reach them through the same propagation
-    chain, so the two are combined at z (source rows, below len(targets):
-    class minus beta times domain; target rows: minus beta times domain)
-    and pushed back in one shared backward. `trace` holds the target rows
-    behind the source rows and `domain` is its domain-head trace, or None
-    with the domain path off. At beta = 0 the target rows are skipped and
-    the source rows carry the class gradient verbatim, so a
-    reversal-disabled step is bit-identical to one with no domain path.
+    chain, so the two are combined at relu_z (source rows, below
+    len(targets): class minus beta times domain; target rows: minus beta
+    times domain), gated by the ReLU once and pushed back in one shared
+    backward. `trace` holds the target rows behind the source rows and
+    `domain` is its domain-head trace, or None with the domain path off.
+    At beta = 0 the target rows are skipped and the source rows carry the
+    gated class gradient verbatim, so a reversal-disabled step is
+    bit-identical to one with no domain path.
     """
-    g_w_class, g_z = _class_head_backward(params, trace, targets)
+    g_w_class, g_relu = _class_head_backward(params, trace, targets)
     g_w_dom = None
     if domain is not None:
-        b = g_z.shape[-3]
-        g_w_dom, g_z_dom = _domain_head_backward(params, trace, domain, b)
+        b = g_relu.shape[-3]
+        g_w_dom, g_dom = _domain_head_backward(params, trace, domain, b)
         if beta != 0.0:
-            # source rows g_z - beta * g_z_dom, target rows -beta * g_z_dom
-            reversed_dom = -beta * g_z_dom
-            reversed_dom[..., :b, :, :] += g_z
-            g_z = reversed_dom
-    g_adj, g_w_feat = _shared_backward(cfg, params, trace, g_z, alpha)
+            # source rows g_relu - beta * g_dom, target rows -beta * g_dom
+            reversed_dom = -beta * g_dom
+            reversed_dom[..., :b, :, :] += g_relu
+            g_relu = reversed_dom
+    g_adj, g_w_feat = _shared_backward(cfg, params, trace, _relu_gate(trace, g_relu), alpha)
     return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=g_w_dom)
 
 
@@ -308,6 +321,8 @@ def model_grad_check(
     the losses from separate source and target forwards. Instances whose
     pre-activations sit within 10h of a ReLU kink are redrawn. `corrupt`
     names a tensor whose analytic gradient gets damaged (negative control).
+    The kink test computes the pre-activations (S^K x) W from the trace's
+    last hop, since the trace keeps only their rectification.
     """
     if size == "small":
         cfg = ModelConfig(n_channels=3, in_dim=2, hidden_dim=2, n_classes=2, steps=1)
@@ -321,7 +336,8 @@ def model_grad_check(
 
     for attempt_seed in range(seed, seed + 50):
         params, x_src, x_tgt, labels, mask = _random_check_instance(cfg, attempt_seed, batch)
-        if np.abs(forward(cfg, params, x_src, target=x_tgt).z).min() >= 10.0 * h:
+        z = forward(cfg, params, x_src, target=x_tgt).hops[-1] @ params.w_feat
+        if np.abs(z).min() >= 10.0 * h:
             break
     else:
         raise ConfigError("could not draw a kink-free instance")

@@ -5,7 +5,9 @@ entries (row-major, diagonal included), so symmetry is structural rather
 than a runtime invariant. Degrees are computed from absolute values
 because learned edge weights can be negative. The packed entries may
 carry leading axes (one adjacency per model); unpacking, degrees,
-normalization and the gradient fold keep them.
+normalization and the gradient fold keep them. Unpacking and the fold
+are gathers through cached index vectors (`np.take` on the last axis),
+not 2-D fancy-index scatters.
 """
 from __future__ import annotations
 
@@ -35,6 +37,27 @@ def diagonal_positions(n: int) -> np.ndarray:
     return positions
 
 
+@lru_cache(maxsize=64)
+def packed_positions(n: int) -> np.ndarray:
+    """Packed position of each entry of the raveled n x n matrix, both triangles."""
+    rows, cols = upper_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    index = index.ravel()
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=64)
+def mirror_positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raveled positions of each packed entry (i, j) and of its mirror (j, i)."""
+    rows, cols = upper_indices(n)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
 def n_upper(n: int) -> int:
     return n * (n + 1) // 2
 
@@ -47,14 +70,14 @@ def pack_upper(matrix: np.ndarray) -> np.ndarray:
 
 
 def unpack_upper(upper: np.ndarray, n: int) -> np.ndarray:
-    """Rebuild the full symmetric matrix from its packed upper triangle."""
+    """Rebuild the full symmetric matrix from its packed upper triangle.
+
+    One gather: every matrix entry reads its packed parameter.
+    """
     if upper.shape[-1:] != (n_upper(n),):
         raise ValueError(f"expected {n_upper(n)} packed entries for n={n}, got {upper.shape}")
-    rows, cols = upper_indices(n)
-    full = np.zeros(upper.shape[:-1] + (n, n), dtype=np.float64)
-    full[..., rows, cols] = upper
-    full[..., cols, rows] = upper
-    return full
+    full = np.take(np.asarray(upper, dtype=np.float64), packed_positions(n), axis=-1)
+    return full.reshape(upper.shape[:-1] + (n, n))
 
 
 def fold_full_gradient(grad_full: np.ndarray) -> np.ndarray:
@@ -65,10 +88,10 @@ def fold_full_gradient(grad_full: np.ndarray) -> np.ndarray:
     a diagonal parameter backs one entry.
     """
     n = grad_full.shape[-1]
-    rows, cols = upper_indices(n)
-    g = grad_full[..., rows, cols] + grad_full[..., cols, rows]
-    diag = rows == cols
-    g[..., diag] = grad_full[..., rows[diag], cols[diag]]
+    upper, lower = mirror_positions(n)
+    flat = grad_full.reshape(grad_full.shape[:-2] + (n * n,))
+    g = np.take(flat, upper, axis=-1) + np.take(flat, lower, axis=-1)
+    g[..., diagonal_positions(n)] = flat[..., :: n + 1]
     return g
 
 

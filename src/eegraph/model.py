@@ -6,10 +6,13 @@ rectified, sum-pooled over channels, and classified. Propagating first
 is the simple-graph-convolution order (S^K X) W: it equals S^K (X W),
 but the hop chain runs in the narrow band width. Every intermediate
 needed by the backward pass is kept on a trace object so gradients never
-recompute the forward. The parameters and features may carry a leading
-model axis (`ParamSet.stack`): each model then runs on its own rows, with
-GEMMs of the same per-model shapes, so each model's arrays are bitwise
-those of a forward on it alone. Prediction runs the same forward over
+recompute the forward. The projection is rectified in place, so one
+hidden-width array per forward is made and kept (`relu_z`); pooling and
+the softmax reductions run as elementwise passes over the short axes.
+The parameters and features may carry a leading model axis
+(`ParamSet.stack`): each model then runs on its own rows, with GEMMs of
+the same per-model shapes, so each model's arrays are bitwise those of a
+forward on it alone. Prediction runs the same forward over
 bounded row chunks with one propagator and keeps no trace past a chunk,
 so its memory does not grow with the number of rows.
 """
@@ -29,15 +32,30 @@ from .params import ModelConfig, ParamSet, xavier_init
 EVAL_CHUNK_ELEMENTS = 1 << 18
 
 
-def relu(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0.0)
+def relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(a, 0.0, out=out)
 
 
 def _softmax_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax over the last axis and its logsumexp log, from one max shift."""
-    shifted = a - a.max(axis=-1, keepdims=True)
+    """Softmax over the last axis and its logsumexp log, from one max shift.
+
+    The class axis is short (2 for the domain head), so the max and the
+    sum run column by column, elementwise over all rows, rather than as
+    one numpy reduction call per row. The max is exact in any order. The
+    sum adds the columns left to right; below 8 columns numpy's own
+    reduction does the same, so the bits are those of `a.max(axis=-1)`
+    and `e.sum(axis=-1)`, and from 8 on they can differ in the last bit.
+    """
+    cols = a.shape[-1]
+    top = a[..., 0]
+    for j in range(1, cols):
+        top = np.maximum(top, a[..., j])
+    shifted = a - top[..., None]
     e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
+    total = e[..., 0]
+    for j in range(1, cols):
+        total = total + e[..., j]
+    total = total[..., None]
     return e / total, shifted - np.log(total)
 
 
@@ -98,8 +116,7 @@ class ForwardTrace:
     deg: np.ndarray | None     # (n,) degrees of `full`
     prop: np.ndarray           # (n, n) normalized propagator
     hops: list[np.ndarray]     # x, Sx, ..., S^steps x, each (rows, n, in_dim)
-    z: np.ndarray              # (rows, n, hidden_dim) (S^steps x) W: propagated, then projected
-    relu_z: np.ndarray         # (rows, n, hidden_dim)
+    relu_z: np.ndarray         # (rows, n, hidden_dim) relu((S^steps x) W), rectified in place
     pooled: np.ndarray         # (rows, hidden_dim), pre-dropout
     mask: np.ndarray | None    # (b, hidden_dim) keep mask, None in eval
     keep_scale: float          # 1 / (1 - dropout) when mask is set, else 1
@@ -158,9 +175,13 @@ def forward(
     hops = [x]
     for _ in range(cfg.steps):
         hops.append(np.matmul(prop[..., None, :, :], hops[-1]))
-    z = np.matmul(hops[-1], params.w_feat[..., None, :, :])
-    relu_z = relu(z)
-    pooled = relu_z.sum(axis=-2)
+    # z = (S^steps x) W is rectified in place: nothing reads z after the
+    # ReLU, and relu_z > 0 is the same gate as z > 0 for every float
+    relu_z = np.matmul(hops[-1], params.w_feat[..., None, :, :])
+    relu(relu_z, out=relu_z)
+    # einsum adds the channels in order, as sum(axis=-2) does for hidden
+    # widths above 1 (bitwise), but without a reduction call per row
+    pooled = np.einsum("...ch->...h", relu_z)
     keep_scale = 1.0
     pooled_drop = pooled[..., :b, :]
     if mask is not None:
@@ -175,7 +196,6 @@ def forward(
         deg=deg,
         prop=prop,
         hops=hops,
-        z=z,
         relu_z=relu_z,
         pooled=pooled,
         mask=mask,

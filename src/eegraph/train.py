@@ -283,28 +283,31 @@ def _train_group(
             tx = None
             if cfg.uses_domain:
                 tx = np.stack([t.features[rows] for t in epoch_targets])
-            trace = forward(model_cfg, stacked, x, mask=mask, target=tx)
-            kl = kl_loss(trace.log_probs, batch_targets, log=True)
-            l1 = l1_penalty(stacked.adj, cfg.alpha)
-
-            dom = np.zeros(len(jobs))
-            domain = None
-            if cfg.uses_domain:
-                beta = float(grl_beta(done_batches / total_batches))
-                domain = domain_forward(stacked, trace, cfg.domain_level)
-                dom_src, dom_tgt = np.split(domain.log_probs, [idx.shape[1]], axis=domain.row_axis)
-                dom = domain_loss(dom_src, dom_tgt, log=True, per_model=True)
-
-            bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))
-            if bad.size:
-                i = bad[0]
-                raise DivergenceError(
-                    f"{prefixes[i]}non-finite loss at epoch {epoch}, batch {b} "
-                    f"(kl={kl[i]}, l1={l1[i]}, domain={dom[i]})"
-                )
-            # Non-finite activations can still leave the loss finite; the
-            # directions they poison are reported by adam_step's precheck.
+            # A non-finite feature makes the forward and the backward meet
+            # inf - inf; the loss check reports it, or adam_step's precheck
+            # when the activations it poisons still leave the loss finite.
             with np.errstate(invalid="ignore"):
+                trace = forward(model_cfg, stacked, x, mask=mask, target=tx)
+                kl = kl_loss(trace.log_probs, batch_targets, log=True)
+                l1 = l1_penalty(stacked.adj, cfg.alpha)
+
+                dom = np.zeros(len(jobs))
+                domain = None
+                if cfg.uses_domain:
+                    beta = float(grl_beta(done_batches / total_batches))
+                    domain = domain_forward(stacked, trace, cfg.domain_level)
+                    dom_src, dom_tgt = np.split(
+                        domain.log_probs, [idx.shape[1]], axis=domain.row_axis
+                    )
+                    dom = domain_loss(dom_src, dom_tgt, log=True, per_model=True)
+
+                bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))
+                if bad.size:
+                    i = bad[0]
+                    raise DivergenceError(
+                        f"{prefixes[i]}non-finite loss at epoch {epoch}, batch {b} "
+                        f"(kl={kl[i]}, l1={l1[i]}, domain={dom[i]})"
+                    )
                 directions = step_directions(
                     model_cfg, stacked, trace, batch_targets, cfg.alpha, domain, beta
                 ).tensors()

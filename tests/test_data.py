@@ -232,6 +232,21 @@ def test_manifest_scheme_class_mismatch(tmp_path):
         load_dataset(out)
 
 
+@pytest.mark.parametrize("field", ["n_samples", "n_channels", "n_bands", "n_classes"])
+@pytest.mark.parametrize("retype", [str, float, lambda v: v + 0.9, lambda v: True],
+                         ids=["str", "float", "fraction", "bool"])
+def test_manifest_counts_must_be_json_ints(tmp_path, field, retype):
+    # each of these once coerced back to the count (or near it) and loaded
+    ds = synthesize(BASE)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    man = json.loads((out / "manifest.json").read_text())
+    man[field] = retype(man[field])
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(CorruptBundleError, match=field):
+        load_dataset(out)
+
+
 def test_manifest_ids_one_short_names_the_bundle(tmp_path):
     ds = synthesize(BASE)
     out = tmp_path / "bundle"

@@ -378,7 +378,9 @@ def test_forward_z_matches_project_first_chain():
     params = init_params(cfg, ring_layout(n), 5)
     x = np.random.default_rng(6).normal(size=(8, n, cfg.in_dim))
     want = propagate(normalized_propagator(params.adj), x @ params.w_feat, steps)
-    np.testing.assert_allclose(forward(cfg, params, x).z, want, rtol=0.0, atol=1e-12)
+    tr = forward(cfg, params, x)
+    np.testing.assert_allclose(tr.hops[-1] @ params.w_feat, want, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(tr.relu_z, np.maximum(want, 0.0), rtol=0.0, atol=1e-12)
 
 
 def test_step_directions_need_a_domain_head():

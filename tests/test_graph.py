@@ -1,6 +1,8 @@
 """Adjacency storage, degree normalization, and propagation."""
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eegraph.errors import CorruptBundleError, IsolatedNodeError
 from eegraph.graph import (
@@ -12,6 +14,7 @@ from eegraph.graph import (
     pack_upper,
     propagate,
     unpack_upper,
+    upper_indices,
 )
 
 
@@ -155,6 +158,37 @@ def test_fold_assigns_mirrored_positions_to_one_parameter():
             else:
                 assert folded[k] == g_full[i, j] + g_full[j, i]
             k += 1
+
+
+def scatter_unpack(upper, n):
+    """Unpack by writing each packed entry to its two mirrored positions."""
+    rows, cols = upper_indices(n)
+    full = np.zeros(upper.shape[:-1] + (n, n))
+    full[..., rows, cols] = upper
+    full[..., cols, rows] = upper
+    return full
+
+
+def scatter_fold(g_full):
+    """Fold by 2-D indexing: (i, j) plus (j, i), then the diagonal alone."""
+    rows, cols = upper_indices(g_full.shape[-1])
+    g = g_full[..., rows, cols] + g_full[..., cols, rows]
+    diag = rows == cols
+    g[..., diag] = g_full[..., rows[diag], cols[diag]]
+    return g
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(1, 62), lead=st.sampled_from([(), (1,), (3,), (2, 2)]),
+       seed=st.integers(0, 2**16))
+def test_gather_unpack_and_fold_are_bitwise_the_scatter_forms(n, lead, seed):
+    rng = np.random.default_rng(seed)
+    upper = rng.normal(size=lead + (n_upper(n),))
+    assert unpack_upper(upper, n).tobytes() == scatter_unpack(upper, n).tobytes()
+    g_full = rng.normal(size=lead + (n, n))
+    # signed zeros and non-finite entries pass through as the scatter form passes them
+    g_full.reshape(-1)[rng.integers(0, g_full.size, size=3)] = [-0.0, np.inf, np.nan]
+    assert fold_full_gradient(g_full).tobytes() == scatter_fold(g_full).tobytes()
 
 
 def test_upper_gradient_matches_finite_difference_of_full_view():

@@ -2,6 +2,7 @@
 import tracemalloc
 from dataclasses import fields, replace
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from eegraph.errors import ConfigError
 from eegraph.graph import SymmetricAdjacency, normalized_propagator, propagate
 from eegraph.model import (
     EVAL_CHUNK_ELEMENTS,
+    _softmax_pair,
     domain_forward,
     forward,
     init_params,
@@ -21,7 +23,7 @@ from eegraph.model import (
     sample_dropout_mask,
     softmax,
 )
-from eegraph.params import ModelConfig
+from eegraph.params import ModelConfig, ParamSet
 
 CFG = ModelConfig(n_channels=6, in_dim=4, hidden_dim=5, n_classes=3, steps=2)
 
@@ -54,6 +56,32 @@ def test_softmax_extreme_logits_stay_finite():
     p = softmax(np.array([[900.0, -900.0, 0.0]]))
     assert np.isfinite(p).all()
     assert p[0, 0] == pytest.approx(1.0)
+
+
+def max_sum_softmax(a):
+    """The softmax pair from numpy's own max and sum reductions."""
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return e / total, shifted - np.log(total)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(a=hnp.arrays(
+    np.float64,
+    st.tuples(hnp.array_shapes(min_dims=1, max_dims=3, max_side=5), st.integers(2, 7)).map(
+        lambda t: t[0] + (t[1],)),
+    elements=st.floats(allow_nan=True, allow_infinity=True) | st.floats(-800.0, 800.0),
+))
+@example(a=np.array([[-0.0, 0.0, -1000.0]]))
+@example(a=np.array([[[900.0, -900.0], [np.nan, 1.0]], [[np.inf, 1.0], [-np.inf, -np.inf]]]))
+def test_softmax_pair_is_bitwise_the_max_sum_reductions(a):
+    # widths 2-7 cover every class count in use and the domain head's 2;
+    # the 1-3 leading axes stand for rows, channels and a model axis
+    with np.errstate(all="ignore"):
+        got, want = _softmax_pair(a), max_sum_softmax(a)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_init_shapes():
@@ -92,7 +120,7 @@ def test_forward_trace_shapes():
     tr = forward(CFG, p, x)
     assert tr.prop.shape == (6, 6)
     assert len(tr.hops) == CFG.steps + 1
-    assert tr.z.shape == (7, 6, 5)
+    assert tr.relu_z.shape == (7, 6, 5)
     assert tr.pooled.shape == (7, 5)
     assert tr.logits.shape == (7, 3)
     assert tr.probs.shape == (7, 3)
@@ -102,7 +130,7 @@ def test_forward_promotes_single_sample():
     p = make_params()
     x = np.random.default_rng(2).normal(size=(6, 4))
     tr = forward(CFG, p, x)
-    assert tr.z.shape == (1, 6, 5)
+    assert tr.relu_z.shape == (1, 6, 5)
 
 
 def test_forward_rejects_wrong_channel_count():
@@ -128,7 +156,7 @@ def test_stacked_forward_matches_separate_forwards(n, hidden, batch):
     src, tgt = forward(cfg, p, xs, mask=mask), forward(cfg, p, xt)
     for k, hop in enumerate(stacked.hops):
         assert np.array_equal(hop, np.concatenate([src.hops[k], tgt.hops[k]]))
-    for name in ("z", "relu_z", "pooled"):
+    for name in ("relu_z", "pooled"):
         want = np.concatenate([getattr(src, name), getattr(tgt, name)])
         assert np.array_equal(getattr(stacked, name), want), name
     for name in ("pooled_drop", "logits", "probs"):
@@ -156,7 +184,7 @@ def test_stacked_forward_rejects_bad_target_and_mask():
         forward(CFG, p, xs, mask=np.ones((4, 5)), target=xt)
     with pytest.raises(ConfigError):
         forward(CFG, p, xs, mask=np.ones((3, 5)))
-    assert forward(CFG, p, xs, mask=np.ones((2, 5)), target=xt).z.shape == (4, 6, 5)
+    assert forward(CFG, p, xs, mask=np.ones((2, 5)), target=xt).relu_z.shape == (4, 6, 5)
 
 
 def test_hidden_chain_matches_propagate():
@@ -172,8 +200,8 @@ def test_hidden_chain_matches_propagate():
 
 
 def test_trace_keeps_no_hidden_width_hop():
-    # the hops are stored at the band width; only z and its rectification
-    # are hidden-width node tensors, whatever the hop count
+    # the hops are stored at the band width; z is rectified in place, so
+    # relu_z is the one hidden-width node tensor, whatever the hop count
     cfg = ModelConfig(n_channels=62, in_dim=5, hidden_dim=64, n_classes=3, steps=3)
     p = make_params(cfg=cfg)
     x = np.random.default_rng(7).normal(size=(8, 62, 5))
@@ -182,7 +210,7 @@ def test_trace_keeps_no_hidden_width_hop():
     for hop in tr.hops:
         assert hop.shape == (8, 62, 5)
     wide = [f.name for f in fields(tr) if np.shape(getattr(tr, f.name)) == (8, 62, 64)]
-    assert sorted(wide) == ["relu_z", "z"]
+    assert wide == ["relu_z"]
 
 
 def test_single_step_is_one_smoothing_application():
@@ -191,15 +219,44 @@ def test_single_step_is_one_smoothing_application():
     x = np.random.default_rng(5).normal(size=(2, 6, 4))
     tr = forward(cfg, p, x)
     s = normalized_propagator(p.adj)
-    assert np.allclose(tr.z, np.einsum("ij,bjk->bik", s, x @ p.w_feat))
+    assert np.allclose(tr.hops[-1] @ p.w_feat, np.einsum("ij,bjk->bik", s, x @ p.w_feat))
 
 
 def test_pooling_sums_rectified_nodes():
     p = make_params(6)
     x = np.random.default_rng(6).normal(size=(4, 6, 4))
     tr = forward(CFG, p, x)
-    assert np.array_equal(tr.relu_z, np.maximum(tr.z, 0.0))
+    assert np.array_equal(tr.relu_z, np.maximum(tr.hops[-1] @ p.w_feat, 0.0))
     assert np.allclose(tr.pooled, tr.relu_z.sum(axis=1))
+
+
+def with_workload_pool_shapes(test):
+    """Pin the (model axis, rows, channels, hidden) shapes of the three benchmark
+    workloads' training steps, stacked target rows included, and of their
+    prediction chunks."""
+    for lead, rows, n, hidden in [(8, 24, 4, 8), (1, 32, 62, 16), (1, 128, 62, 64),
+                                  (None, 8192, 4, 8), (None, 264, 62, 16), (None, 66, 62, 64)]:
+        test = example(lead=lead, rows=rows, n=n, hidden=hidden, seed=rows)(test)
+    return test
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(lead=st.sampled_from([None, 1, 3]), rows=st.integers(0, 40),
+       n=st.integers(2, 62), hidden=st.integers(1, 70), seed=st.integers(0, 2**16))
+@with_workload_pool_shapes
+def test_pooling_is_bitwise_the_channel_sum(lead, rows, n, hidden, seed):
+    cfg = ModelConfig(n_channels=n, in_dim=5, hidden_dim=hidden, n_classes=3, steps=2)
+    models = [make_params(seed=seed + k, cfg=cfg) for k in range(lead or 1)]
+    p = models[0] if lead is None else ParamSet.stack(models)
+    shape = (rows, n, cfg.in_dim) if lead is None else (lead, rows, n, cfg.in_dim)
+    tr = forward(cfg, p, np.random.default_rng(seed).normal(scale=2.0, size=shape))
+    want = tr.relu_z.sum(axis=-2)
+    if hidden > 1:
+        assert tr.pooled.tobytes() == want.tobytes()
+    else:
+        # one hidden unit leaves the channel axis contiguous, where numpy's
+        # reduction and einsum each unroll their sums, in different orders
+        np.testing.assert_allclose(tr.pooled, want, rtol=1e-14, atol=0.0)
 
 
 def test_eval_forward_has_no_dropout():
@@ -436,7 +493,7 @@ def test_stacked_parameters_forward_each_model_bitwise():
         dom = domain_forward(stacked, tr, level)
         for i, p in enumerate(alone):
             ref = forward(CFG, p, x[i], mask=mask[i], target=tx[i])
-            for name in ("full", "deg", "prop", "z", "pooled", "logits", "probs", "log_probs"):
+            for name in ("full", "deg", "prop", "relu_z", "pooled", "logits", "probs", "log_probs"):
                 assert np.array_equal(getattr(tr, name)[i], getattr(ref, name)), name
             ref_dom = domain_forward(p, ref, level)
             assert np.array_equal(dom.probs[i], ref_dom.probs)

@@ -4,7 +4,7 @@ import importlib
 import numpy as np
 import pytest
 
-from eegraph.data import SynthConfig, synthesize
+from eegraph.data import SynthConfig, split_loso, synthesize
 from eegraph.electrodes import ring_layout
 from eegraph.errors import ConfigError, DivergenceError
 from eegraph.losses import grl_beta
@@ -232,6 +232,19 @@ def test_divergent_directions_raise_without_numpy_warnings(node_dat):
     broken.features[0, 0, 0] = np.inf
     with pytest.raises(DivergenceError):
         train(broken, TGT, TrainConfig(node_dat=node_dat, **QUICK))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("node_dat", [False, True])
+def test_diverging_forward_raises_without_numpy_warnings(node_dat):
+    # here the inf reaches the forward's dropout multiply, class head and
+    # domain head, each of which warned; the 6-channel data above never does
+    cohort = synthesize(SynthConfig(subjects=3, trials_per_class=1, samples_per_trial=4,
+                                    n_channels=4, n_bands=5, n_classes=4, seed=77))
+    fold, held_out = split_loso(cohort)[0]
+    fold.features[0, 0, 0] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite loss"):
+        train(fold, held_out, TrainConfig(node_dat=node_dat, **{**QUICK, "seed": 2}))
 
 
 def test_layout_size_mismatch():
