@@ -119,9 +119,6 @@ class UnlabeledSet:
     def n_samples(self) -> int:
         return self.features.shape[0]
 
-    def take(self, idx: np.ndarray) -> "UnlabeledSet":
-        return UnlabeledSet(features=self.features[np.asarray(idx)])
-
 
 # --- disk bundles ----------------------------------------------------------
 
@@ -398,24 +395,19 @@ def band_select(ds: FeatureDataset, bands) -> FeatureDataset:
     )
 
 
-def resample_target(source_n: int, target, seed):
-    """Resize the target set to exactly source_n samples, seeded.
+def resample_target(source_n: int, n: int, seed) -> np.ndarray:
+    """Row indices that resize an n-row target set to exactly source_n rows, seeded.
 
     Equal sizes permute; oversampling draws with replacement; downsampling
-    draws without. Works on labeled and unlabeled sets alike.
+    draws without.
     """
     if source_n < 1:
         raise ConfigError(f"source_n must be >= 1, got {source_n}")
-    n = target.n_samples
     if n == 0:
         raise ConfigError("target set is empty")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
     rng = np.random.default_rng(seed)
     if n == source_n:
-        idx = rng.permutation(n)
-    elif n < source_n:
-        idx = rng.choice(n, size=source_n, replace=True)
-    else:
-        idx = rng.choice(n, size=source_n, replace=False)
-    return target.take(idx)
+        return rng.permutation(n)
+    return rng.choice(n, size=source_n, replace=n < source_n)

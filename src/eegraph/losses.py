@@ -1,8 +1,10 @@
-"""Training objectives: soft-label conversion, KL, sparsity and domain terms.
+"""Training objectives: soft-label tables, KL, sparsity and domain terms.
 
-Hard labels become class distributions that put small probability mass on
-emotionally adjacent classes and exact zeros on opposite ones, so label
-noise between neighbors costs little while gross errors still register.
+Each label scheme has one (C, C) table whose row y is the distribution
+that replaces hard label y: small probability mass on emotionally
+adjacent classes and exact zeros on opposite ones, so label noise
+between neighbors costs little while gross errors still register.
+Converting labels is a gather of table rows.
 The domain term is a per-node binary cross-entropy whose gradient is
 reversed (scaled by a schedule) before it reaches shared parameters.
 The scalar losses take probabilities, or log-probabilities with
@@ -20,53 +22,6 @@ from .params import GradientSet
 
 # --- soft labels -----------------------------------------------------------
 
-def chain_distribution(y: int, n_classes: int, epsilon: float) -> np.ndarray:
-    """Soft label on an ordered class chain: leak 2ε/3 to the 1 or 2 neighbors.
-
-    The true class keeps the rest; classes further than one step away get
-    exactly zero. With 3 classes this is the negative/neutral/positive table.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-    if not 0 <= y < n_classes:
-        raise ConfigError(f"class {y} out of range for {n_classes} classes")
-    dist = np.zeros(n_classes, dtype=np.float64)
-    if n_classes == 1:
-        dist[0] = 1.0
-        return dist
-    neighbors = [c for c in (y - 1, y + 1) if 0 <= c < n_classes]
-    leak = 2.0 * epsilon / 3.0
-    for c in neighbors:
-        dist[c] = leak / len(neighbors)
-    dist[y] = 1.0 - leak
-    return dist
-
-
-def seed3_distribution(y: int, epsilon: float) -> np.ndarray:
-    """Three-class scheme (negative, neutral, positive)."""
-    return chain_distribution(y, 3, epsilon)
-
-
-def seed4_distribution(y: int, epsilon: float) -> np.ndarray:
-    """Four-class scheme (neutral, sad, fear, happy).
-
-    Neutral and fear sit within one step of everything; sad and happy
-    differ in both emotion dimensions, so each puts exact zero on the other.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
-    e = epsilon
-    table = {
-        0: (1.0 - 3.0 * e / 4.0, e / 4.0, e / 4.0, e / 4.0),
-        1: (e / 3.0, 1.0 - 2.0 * e / 3.0, e / 3.0, 0.0),
-        2: (e / 4.0, e / 4.0, 1.0 - 3.0 * e / 4.0, e / 4.0),
-        3: (e / 3.0, 0.0, e / 3.0, 1.0 - 2.0 * e / 3.0),
-    }
-    if y not in table:
-        raise ConfigError(f"class {y} out of range for the 4-class scheme")
-    return np.array(table[y], dtype=np.float64)
-
-
 def scheme_classes(scheme: str | int) -> int:
     """Class count implied by a label scheme name or explicit count."""
     if scheme == "seed3":
@@ -80,19 +35,49 @@ def scheme_classes(scheme: str | int) -> int:
     raise ConfigError(f"unknown label scheme {scheme!r}")
 
 
-def label_distribution(y: int, scheme: str | int, epsilon: float) -> np.ndarray:
-    """Dispatch one label through the scheme's conversion table."""
-    if scheme == "seed3":
-        return seed3_distribution(y, epsilon)
+def label_table(scheme: str | int, epsilon: float) -> np.ndarray:
+    """The (C, C) conversion table: row y is the soft label of class y.
+
+    "seed4" (neutral, sad, fear, happy): neutral and fear sit within one
+    step of everything; sad and happy differ in both emotion dimensions,
+    so each puts exact zero on the other. Every other scheme, "seed3"
+    (negative, neutral, positive) included, is an ordered chain: the true
+    class leaks 2ε/3, split between its 1 or 2 neighbors, and classes
+    further than one step away get exactly zero.
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ConfigError(f"epsilon must be in [0, 1], got {epsilon}")
+    e = epsilon
     if scheme == "seed4":
-        return seed4_distribution(y, epsilon)
-    return chain_distribution(y, scheme_classes(scheme), epsilon)
+        return np.array([
+            (1.0 - 3.0 * e / 4.0, e / 4.0, e / 4.0, e / 4.0),
+            (e / 3.0, 1.0 - 2.0 * e / 3.0, e / 3.0, 0.0),
+            (e / 4.0, e / 4.0, 1.0 - 3.0 * e / 4.0, e / 4.0),
+            (e / 3.0, 0.0, e / 3.0, 1.0 - 2.0 * e / 3.0),
+        ])
+    c = scheme_classes(scheme)
+    leak = 2.0 * e / 3.0
+    table = np.zeros((c, c))
+    for y in range(c):
+        neighbors = [k for k in (y - 1, y + 1) if 0 <= k < c]
+        table[y, neighbors] = leak / len(neighbors)
+        table[y, y] = 1.0 - leak
+    return table
 
 
 def convert_labels(labels: np.ndarray, scheme: str | int, epsilon: float) -> np.ndarray:
-    """Vectorized conversion of hard labels to (N, C) target distributions."""
-    labels = np.asarray(labels)
-    return np.stack([label_distribution(int(y), scheme, epsilon) for y in labels])
+    """Hard labels to (N, C) target distributions, gathered from the table."""
+    table = label_table(scheme, epsilon)
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= len(table))]
+    if bad.size:
+        raise ConfigError(f"class {bad[0]} out of range for {len(table)} classes")
+    return table[labels]
+
+
+def label_distribution(y: int, scheme: str | int, epsilon: float) -> np.ndarray:
+    """The soft label of one class: a range-checked row of the table."""
+    return convert_labels(np.array([y]), scheme, epsilon)[0]
 
 
 def allowed_flips(scheme: str | int) -> dict[int, list[int]]:
@@ -101,12 +86,8 @@ def allowed_flips(scheme: str | int) -> dict[int, list[int]]:
     Exactly the classes carrying nonzero mass in the conversion at ε > 0,
     so injected noise never crosses to an opposite emotion.
     """
-    c = scheme_classes(scheme)
-    out = {}
-    for y in range(c):
-        dist = label_distribution(y, scheme, 0.5)
-        out[y] = [i for i in range(c) if i != y and dist[i] > 0.0]
-    return out
+    return {y: [int(k) for k in np.flatnonzero(row) if k != y]
+            for y, row in enumerate(label_table(scheme, 0.5))}
 
 
 # --- scalar losses ---------------------------------------------------------

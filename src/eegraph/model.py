@@ -59,11 +59,6 @@ def _softmax_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e / total, shifted - np.log(total)
 
 
-def softmax(a: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis, safe for large logits."""
-    return _softmax_pair(a)[0]
-
-
 def init_params(
     cfg: ModelConfig,
     layout: ElectrodeLayout,

@@ -5,6 +5,9 @@ source samples and, when enabled, a paired target batch stacked behind
 them. The classifier reads the source rows and one domain-head call reads
 all rows; one fused backward gives the update directions of both
 objectives under the reversal schedule, and one Adam step applies them.
+Soft-label targets are rows of the scheme's table, gathered once per
+training set; target batches are gathered from the target features
+through the row indices `resample_target` draws once per epoch.
 Models whose training sets have the same size train in lockstep
 (`train_lockstep`): their parameters are the rows of one (k, P) matrix,
 and each step runs one forward and one backward over a leading model
@@ -22,6 +25,7 @@ import numpy as np
 
 from .data import FeatureDataset, UnlabeledSet, resample_target
 from .electrodes import (
+    DELTA_DEFAULT,
     ElectrodeLayout,
     GlobalPairSet,
     builtin_layout,
@@ -123,13 +127,12 @@ def resolve_delta(layout: ElectrodeLayout, delta: float | None) -> float:
     fraction of non-negligible connections; otherwise the scale is
     recalibrated from the layout's distance distribution.
     """
-    dist = pairwise_distances(layout.positions)
     if delta is not None:
         return delta
-    conventional = 5.0
-    frac = sparsity_fraction(init_local_adjacency(dist, conventional))
+    dist = pairwise_distances(layout.positions)
+    frac = sparsity_fraction(init_local_adjacency(dist, DELTA_DEFAULT))
     if 0.15 <= frac <= 0.30:
-        return conventional
+        return DELTA_DEFAULT
     return calibrate_delta(dist)
 
 
@@ -155,8 +158,7 @@ def train(
     """Run the full optimization and return parameters plus history.
 
     `target` supplies unlabeled target-domain features for the domain
-    path; a labeled dataset passed here is stripped to features first and
-    its labels are never read.
+    path; of a labeled dataset passed here only the features are read.
     """
     return train_lockstep([(train_ds, target)], cfg, layout=layout, global_pairs=global_pairs)[0]
 
@@ -214,19 +216,20 @@ def _train_group(
     """Train the models of jobs with training sets of one shape, all steps in lockstep."""
     train_sets = [ds for ds, _ in jobs]
     first = train_sets[0]
+    if first.n_samples == 0:
+        raise ConfigError("training set is empty")
+    # target feature arrays, read only through per-epoch resampled row indices
     targets = []
-    for train_ds, target in jobs:
-        if cfg.uses_domain:
+    if cfg.uses_domain:
+        for train_ds, target in jobs:
             if target is None:
                 raise ConfigError("domain adaptation is on but no target data was supplied")
-            if isinstance(target, FeatureDataset):
-                target = target.unlabeled()
             if target.features.shape[1:] != train_ds.features.shape[1:]:
                 raise ConfigError(
                     f"target feature shape {target.features.shape[1:]} does not match "
                     f"source {train_ds.features.shape[1:]}"
                 )
-        targets.append(target)
+            targets.append(target.features)
     if layout is None:
         layout, auto_pairs = default_layout_for(first.n_channels)
         if global_pairs is None:
@@ -263,10 +266,8 @@ def _train_group(
     done_batches = 0
     for epoch in range(cfg.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        epoch_targets = None
-        if cfg.uses_domain:
-            epoch_targets = [resample_target(n, target, ss[epoch])
-                             for target, ss in zip(targets, target_epoch_ss)]
+        epoch_rows = [resample_target(n, len(t), ss[epoch])
+                      for t, ss in zip(targets, target_epoch_ss)]
         kl_sum, l1_sum, dom_sum = (np.zeros(len(jobs)) for _ in range(3))
         beta = 0.0
         for b in range(batches_per_epoch):
@@ -282,7 +283,7 @@ def _train_group(
                 mask = np.stack([sample_dropout_mask(rng, shape, cfg.dropout) for rng in dropout_rngs])
             tx = None
             if cfg.uses_domain:
-                tx = np.stack([t.features[rows] for t in epoch_targets])
+                tx = np.stack([t[r[rows]] for t, r in zip(targets, epoch_rows)])
             # A non-finite feature makes the forward and the backward meet
             # inf - inf; the loss check reports it, or adam_step's precheck
             # when the activations it poisons still leave the loss finite.

@@ -366,30 +366,33 @@ def test_band_select_copies():
 
 def test_resample_equal_is_permutation():
     ds = synthesize(BASE)
-    u = ds.unlabeled()
-    out = resample_target(u.n_samples, u, 5)
-    assert out.n_samples == u.n_samples
-    a = np.sort(out.features.reshape(out.n_samples, -1).sum(axis=1))
-    b = np.sort(u.features.reshape(u.n_samples, -1).sum(axis=1))
-    assert np.allclose(a, b)
+    idx = resample_target(ds.n_samples, ds.n_samples, 5)
+    assert idx.shape == (ds.n_samples,)
+    assert np.array_equal(np.sort(idx), np.arange(ds.n_samples))
 
 
 def test_resample_up_and_down():
     ds = synthesize(BASE)
-    u = ds.unlabeled().take(np.arange(10))
-    up = resample_target(25, u, 0)
-    assert up.n_samples == 25
-    down = resample_target(4, ds.unlabeled(), 0)
-    assert down.n_samples == 4
-    rows = {tuple(r) for r in down.features.reshape(4, -1)}
+    up = resample_target(25, 10, 0)
+    assert up.shape == (25,)
+    assert up.min() >= 0 and up.max() < 10
+    down = resample_target(4, ds.n_samples, 0)
+    assert down.shape == (4,)
+    rows = {tuple(r) for r in ds.features[down].reshape(4, -1)}
     assert len(rows) == 4  # without replacement, all distinct
 
 
 def test_resample_seeded():
     ds = synthesize(BASE)
-    u = ds.unlabeled()
-    a = resample_target(12, u, 9)
-    b = resample_target(12, u, 9)
-    assert np.array_equal(a.features, b.features)
-    c = resample_target(12, u, np.random.SeedSequence(9))
-    assert np.array_equal(a.features, c.features)
+    a = resample_target(12, ds.n_samples, 9)
+    b = resample_target(12, ds.n_samples, 9)
+    assert np.array_equal(a, b)
+    c = resample_target(12, ds.n_samples, np.random.SeedSequence(9))
+    assert np.array_equal(a, c)
+
+
+def test_resample_rejects_empty_sizes():
+    with pytest.raises(ConfigError):
+        resample_target(0, 10, 0)
+    with pytest.raises(ConfigError, match="target set is empty"):
+        resample_target(4, 0, 0)

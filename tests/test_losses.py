@@ -5,7 +5,6 @@ import pytest
 from eegraph.errors import ConfigError
 from eegraph.losses import (
     allowed_flips,
-    chain_distribution,
     composite_directions,
     convert_labels,
     domain_loss,
@@ -13,19 +12,42 @@ from eegraph.losses import (
     kl_loss,
     l1_penalty,
     label_distribution,
+    label_table,
     scheme_classes,
-    seed3_distribution,
-    seed4_distribution,
 )
 from eegraph.graph import SymmetricAdjacency
-from eegraph.model import _softmax_pair, softmax
+from eegraph.model import _softmax_pair
 
 EPS_GRID = [k / 10 for k in range(11)]
+
+
+def softmax(a):
+    return _softmax_pair(a)[0]
 
 
 def log_softmax(a):
     # the log-probabilities the forward keeps on its traces
     return _softmax_pair(a)[1]
+
+
+def per_label_distribution(y, scheme, epsilon):
+    """One label at a time, as the conversion was built before its table."""
+    if scheme == "seed4":
+        e = epsilon
+        return np.array({
+            0: (1.0 - 3.0 * e / 4.0, e / 4.0, e / 4.0, e / 4.0),
+            1: (e / 3.0, 1.0 - 2.0 * e / 3.0, e / 3.0, 0.0),
+            2: (e / 4.0, e / 4.0, 1.0 - 3.0 * e / 4.0, e / 4.0),
+            3: (e / 3.0, 0.0, e / 3.0, 1.0 - 2.0 * e / 3.0),
+        }[y], dtype=np.float64)
+    n_classes = 3 if scheme == "seed3" else scheme
+    dist = np.zeros(n_classes, dtype=np.float64)
+    neighbors = [c for c in (y - 1, y + 1) if 0 <= c < n_classes]
+    leak = 2.0 * epsilon / 3.0
+    for c in neighbors:
+        dist[c] = leak / len(neighbors)
+    dist[y] = 1.0 - leak
+    return dist
 
 
 def test_scheme_classes():
@@ -40,16 +62,37 @@ def test_scheme_classes():
 
 def test_three_class_exact_values():
     # middle class leaks to both sides, edge classes to their one neighbor
-    assert np.array_equal(seed3_distribution(0, 0.2), [13 / 15, 2 / 15, 0.0])
-    assert np.array_equal(seed3_distribution(1, 0.2), [1 / 15, 13 / 15, 1 / 15])
-    assert np.array_equal(seed3_distribution(2, 0.2), [0.0, 2 / 15, 13 / 15])
+    table = label_table("seed3", 0.2)
+    assert np.array_equal(table[0], [13 / 15, 2 / 15, 0.0])
+    assert np.array_equal(table[1], [1 / 15, 13 / 15, 1 / 15])
+    assert np.array_equal(table[2], [0.0, 2 / 15, 13 / 15])
 
 
 def test_four_class_exact_values():
-    assert np.array_equal(seed4_distribution(0, 0.2), [17 / 20, 1 / 20, 1 / 20, 1 / 20])
-    assert np.array_equal(seed4_distribution(1, 0.2), [1 / 15, 13 / 15, 1 / 15, 0.0])
-    assert np.array_equal(seed4_distribution(2, 0.2), [1 / 20, 1 / 20, 17 / 20, 1 / 20])
-    assert np.array_equal(seed4_distribution(3, 0.2), [1 / 15, 0.0, 1 / 15, 13 / 15])
+    table = label_table("seed4", 0.2)
+    assert np.array_equal(table[0], [17 / 20, 1 / 20, 1 / 20, 1 / 20])
+    assert np.array_equal(table[1], [1 / 15, 13 / 15, 1 / 15, 0.0])
+    assert np.array_equal(table[2], [1 / 20, 1 / 20, 17 / 20, 1 / 20])
+    assert np.array_equal(table[3], [1 / 15, 0.0, 1 / 15, 13 / 15])
+
+
+@pytest.mark.parametrize("scheme", ["seed3", "seed4", 3, 5, 7])
+def test_table_is_bitwise_the_per_label_construction(scheme):
+    c = scheme_classes(scheme)
+    for eps in EPS_GRID:
+        table = label_table(scheme, eps)
+        want = np.stack([per_label_distribution(y, scheme, eps) for y in range(c)])
+        assert table.shape == (c, c) and table.dtype == np.float64
+        assert table.tobytes() == want.tobytes()
+        for y in range(c):
+            assert label_distribution(y, scheme, eps).tobytes() == want[y].tobytes()
+
+
+def test_table_rejects_epsilon_outside_unit_interval():
+    for scheme in ("seed3", "seed4", 5):
+        for eps in (-0.1, 1.5):
+            with pytest.raises(ConfigError):
+                label_table(scheme, eps)
 
 
 def test_epsilon_zero_is_one_hot():
@@ -78,16 +121,15 @@ def test_grid_sums_and_support():
 
 def test_chain_matches_three_class_table():
     for eps in EPS_GRID:
-        for y in range(3):
-            assert np.array_equal(chain_distribution(y, 3, eps), seed3_distribution(y, eps))
+        assert np.array_equal(label_table(3, eps), label_table("seed3", eps))
 
 
 def test_chain_five_classes():
-    dist = chain_distribution(2, 5, 0.3)
+    dist = label_distribution(2, 5, 0.3)
     assert dist[2] == 1 - 2 * 0.3 / 3
     assert dist[1] == 2 * 0.3 / 3 / 2 and dist[3] == 2 * 0.3 / 3 / 2
     assert dist[0] == 0.0 and dist[4] == 0.0
-    edge = chain_distribution(0, 5, 0.3)
+    edge = label_distribution(0, 5, 0.3)
     assert edge[0] == 1 - 2 * 0.3 / 3
     assert edge[1] == 2 * 0.3 / 3
 
@@ -111,10 +153,22 @@ def test_allowed_flips_match_support_at_half():
 def test_convert_labels_stacks_rows():
     out = convert_labels(np.array([0, 2, 1]), "seed3", 0.2)
     assert out.shape == (3, 3)
-    assert np.array_equal(out[0], seed3_distribution(0, 0.2))
-    assert np.array_equal(out[1], seed3_distribution(2, 0.2))
+    assert np.array_equal(out[0], label_table("seed3", 0.2)[0])
+    assert np.array_equal(out[1], label_table("seed3", 0.2)[2])
     with pytest.raises(ConfigError):
         convert_labels(np.array([0, 3]), "seed3", 0.2)
+
+
+@pytest.mark.parametrize("scheme", ["seed3", "seed4", 5])
+def test_convert_labels_rejects_out_of_range(scheme):
+    # a bare table gather would wrap -1 to the last class
+    c = scheme_classes(scheme)
+    for bad in (-1, c):
+        with pytest.raises(ConfigError):
+            convert_labels(np.array([0, bad]), scheme, 0.2)
+        with pytest.raises(ConfigError):
+            label_distribution(bad, scheme, 0.2)
+    assert convert_labels(np.array([], dtype=np.int64), scheme, 0.2).shape == (0, c)
 
 
 def test_kl_zero_when_equal():

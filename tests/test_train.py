@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eegraph.data import SynthConfig, split_loso, synthesize
-from eegraph.electrodes import ring_layout
+from eegraph.electrodes import DELTA_DEFAULT, ring_layout
 from eegraph.errors import ConfigError, DivergenceError
 from eegraph.losses import grl_beta
 from eegraph.train import (
@@ -60,10 +60,20 @@ def test_resolve_delta_explicit_wins():
     assert resolve_delta(ring_layout(6), 2.5) == 2.5
 
 
+def test_resolve_delta_explicit_skips_the_geometry(monkeypatch):
+    train_module = importlib.import_module("eegraph.train")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("distances computed for an explicit delta")
+
+    monkeypatch.setattr(train_module, "pairwise_distances", refuse)
+    assert resolve_delta(ring_layout(6), 2.5) == 2.5
+
+
 def test_resolve_delta_keeps_convention_when_sane():
     from eegraph.electrodes import builtin_layout
 
-    assert resolve_delta(builtin_layout(), None) == 5.0
+    assert resolve_delta(builtin_layout(), None) == 5.0 == DELTA_DEFAULT
 
 
 def test_resolve_delta_recalibrates_absurd_geometry():
@@ -147,6 +157,13 @@ def test_soft_labels_at_zero_spread_match_hard():
     assert a.history == b.history
 
 
+def test_empty_training_set_rejected():
+    empty = DS.take(np.arange(0))
+    for cfg in (TrainConfig(**QUICK), TrainConfig(node_dat=True, **QUICK)):
+        with pytest.raises(ConfigError, match="training set is empty"):
+            train(empty, TGT, cfg)
+
+
 def test_domain_path_needs_target():
     with pytest.raises(ConfigError):
         train(DS, None, TrainConfig(node_dat=True, **QUICK))
@@ -168,6 +185,11 @@ def test_domain_run_accepts_labeled_target_and_records_beta():
     total = QUICK["epochs"] * per_epoch
     assert res.history[0]["beta"] == pytest.approx(grl_beta((per_epoch - 1) / total))
     assert res.history[1]["beta"] > res.history[0]["beta"]
+    # only the features of a labeled target are read
+    stripped = train(DS, TGT.unlabeled(), TrainConfig(node_dat=True, **QUICK))
+    assert res.history == stripped.history
+    for name, tensor in res.params.tensors().items():
+        assert np.array_equal(tensor, stripped.params.tensors()[name])
 
 
 @pytest.mark.parametrize("level", ["node_dat", "dat_graph_level"])
