@@ -232,6 +232,8 @@ class SynthConfig:
             raise ConfigError(f"label_noise_rate must be in [0, 1], got {self.label_noise_rate}")
         if self.class_separation < 0 or self.subject_shift_scale < 0:
             raise ConfigError("class_separation and subject_shift_scale must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def resolved_scheme(self) -> str | int:
         if self.label_scheme is not None:

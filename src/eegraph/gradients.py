@@ -98,7 +98,7 @@ def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
 
     `g_relu` may be broadcast over channels (a pooled gradient). The gate
     is a multiply, so a non-finite gradient at a dead unit stays NaN for
-    adam_step's precheck to report.
+    the optimizer's finite check (`optim.flat_directions`) to report.
     """
     rows = g_relu.shape[-3]
     return (trace.relu_z[..., :rows, :, :] > 0.0) * g_relu
@@ -324,6 +324,8 @@ def model_grad_check(
     The kink test computes the pre-activations (S^K x) W from the trace's
     last hop, since the trace keeps only their rectification.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if size == "small":
         cfg = ModelConfig(n_channels=3, in_dim=2, hidden_dim=2, n_classes=2, steps=1)
         batch = 2

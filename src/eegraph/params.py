@@ -74,8 +74,9 @@ class ParamSet:
     def stack(cls, sets: list["ParamSet"]) -> "ParamSet":
         """One set over a leading model axis whose `flat` rows back `sets`.
 
-        Each of `sets` is rebound to its row, so updating a model's own
-        `flat` (as `adam_step` does) moves the stacked tensors too.
+        Each of `sets` is rebound to its row, so an in-place update of the
+        stacked `flat` (one Adam update per lockstep step) moves every
+        model's tensors, and the other way round.
         """
         tensors = [s.tensors() for s in sets]
         stacked = cls(

@@ -4,14 +4,14 @@ Each batch runs one forward from the current adjacency: the labeled
 source samples and, when enabled, a paired target batch stacked behind
 them. The classifier reads the source rows and one domain-head call reads
 all rows; one fused backward gives the update directions of both
-objectives under the reversal schedule, and one Adam step applies them.
+objectives under the reversal schedule, and one Adam update applies them.
 Soft-label targets are rows of the scheme's table, gathered once per
 training set; target batches are gathered from the target features
 through the row indices `resample_target` draws once per epoch.
 Models whose training sets have the same size train in lockstep
 (`train_lockstep`): their parameters are the rows of one (k, P) matrix,
-and each step runs one forward and one backward over a leading model
-axis, then one Adam step per model. `train` is the one-model case.
+and each step runs one forward, one backward and one Adam update over a
+leading model axis. `train` is the one-model case.
 Runs are bit-reproducible, and a model's result does not depend on the
 group it trained in: every random draw comes from a child stream of the
 run seed, one set per model, and the same children are spawned whether
@@ -48,8 +48,8 @@ from .model import (
     predict,
     sample_dropout_mask,
 )
-from .optim import AdamConfig, AdamState, adam_step
-from .params import GradientSet, ModelConfig, ParamSet
+from .optim import AdamConfig, AdamState, adam_update, flat_directions
+from .params import ModelConfig, ParamSet
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ class TrainConfig:
             raise ConfigError("node_dat and dat_graph_level are mutually exclusive")
         if self.delta is not None and self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def uses_domain(self) -> bool:
@@ -253,7 +255,7 @@ def _train_group(
         dropout_rngs.append(np.random.default_rng(dropout_ss))
         target_epoch_ss.append(target_ss.spawn(cfg.epochs))
     stacked = ParamSet.stack(models)
-    states = [AdamState.for_params(params, cfg.adam()) for params in models]
+    state = AdamState.for_params(stacked, cfg.adam())
 
     n = first.n_samples
     epsilon = cfg.epsilon if cfg.emotion_dl else 0.0
@@ -285,8 +287,9 @@ def _train_group(
             if cfg.uses_domain:
                 tx = np.stack([t[r[rows]] for t, r in zip(targets, epoch_rows)])
             # A non-finite feature makes the forward and the backward meet
-            # inf - inf; the loss check reports it, or adam_step's precheck
-            # when the activations it poisons still leave the loss finite.
+            # inf - inf; the loss check reports it, or the finite check of
+            # flat_directions when the activations it poisons still leave
+            # the loss finite.
             with np.errstate(invalid="ignore"):
                 trace = forward(model_cfg, stacked, x, mask=mask, target=tx)
                 kl = kl_loss(trace.log_probs, batch_targets, log=True)
@@ -311,13 +314,8 @@ def _train_group(
                     )
                 directions = step_directions(
                     model_cfg, stacked, trace, batch_targets, cfg.alpha, domain, beta
-                ).tensors()
-            for i, (params, state) in enumerate(zip(models, states)):
-                own = GradientSet(**{name: d[i] for name, d in directions.items()})
-                try:
-                    adam_step(state, params, own)
-                except DivergenceError as exc:
-                    raise DivergenceError(f"{prefixes[i]}{exc}") from None
+                )
+            adam_update(state, stacked, flat_directions(stacked, directions, prefixes))
             kl_sum += kl
             l1_sum += l1
             dom_sum += dom

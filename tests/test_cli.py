@@ -314,6 +314,24 @@ def test_gradcheck_negative_control(capsys):
     assert doc["max_relative_error"] > 1e-4
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--protocol", "loso", "--seed", "-1"],
+    ["synth"],
+    ["gradcheck", "--seed", "-3"],
+], ids=["train", "synth", "gradcheck"])
+def test_negative_seed_is_a_validation_error(bundle, tmp_path, capsys, argv):
+    if argv[0] == "train":
+        argv = argv + ["--data", str(bundle), "--out", str(tmp_path / "x")]
+    elif argv[0] == "synth":
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps({**SYNTH_DOC, "seed": -5}))
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "x")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err
+
+
 def test_gradcheck_unknown_tensor(capsys):
     assert main(["gradcheck", "--corrupt", "w_nothing"]) == EXIT_INVALID
     capsys.readouterr()

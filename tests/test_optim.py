@@ -9,8 +9,8 @@ from eegraph.errors import ConfigError, DivergenceError
 from eegraph.gradients import l1_subgradient
 from eegraph.graph import SymmetricAdjacency
 from eegraph.model import init_params
-from eegraph.optim import AdamConfig, AdamState, adam_step
-from eegraph.params import TENSOR_ORDER, GradientSet, ModelConfig
+from eegraph.optim import AdamConfig, AdamState, adam_step, adam_update, flat_directions
+from eegraph.params import TENSOR_ORDER, GradientSet, ModelConfig, ParamSet
 
 CFG = ModelConfig(n_channels=4, in_dim=3, hidden_dim=3, n_classes=2, steps=1)
 
@@ -252,3 +252,51 @@ def test_vector_step_matches_per_tensor_loop_bitwise(weight_decay, domain_head, 
         for name, want in ref.items():
             assert np.array_equal(params.tensors()[name], want), (t, name)
     assert state.t == 25
+
+
+def stacked_directions(directions):
+    """One GradientSet whose tensors stack the models' directions on a leading axis."""
+    per_model = [d.tensors() for d in directions]
+    return GradientSet(**{name: np.stack([t[name] for t in per_model]) for name in per_model[0]})
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+@pytest.mark.parametrize("domain_head", [True, False])
+@pytest.mark.parametrize("eps", [1e-8, 0.0])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_group_update_rows_match_one_model_steps_bitwise(k, weight_decay, domain_head, eps):
+    # the stacked form of the bitwise test above: one update over the (k, P)
+    # matrix against k separate one-model steps
+    cfg = AdamConfig(lr=0.02, eps=eps, weight_decay=weight_decay)
+    singles = [fresh(20 + i, domain_head=domain_head) for i in range(k)]
+    stacked = ParamSet.stack([fresh(20 + i, domain_head=domain_head) for i in range(k)])
+    single_states = [AdamState.for_params(p, cfg) for p in singles]
+    state = AdamState.for_params(stacked, cfg)
+    assert state.m.shape == stacked.flat.shape == (k, singles[0].flat.size)
+    rng = np.random.default_rng(14)
+    for t in range(1, 26):
+        dirs = [grad_like(p, rng=rng) for p in singles]
+        for d in dirs:
+            d.w_feat[0, 0] = 0.0  # never touched: 0/0 when eps is 0
+        g = flat_directions(stacked, stacked_directions(dirs))
+        assert g.shape == stacked.flat.shape
+        adam_update(state, stacked, g)
+        for i, (p, s, d) in enumerate(zip(singles, single_states, dirs)):
+            adam_step(s, p, d)
+            assert np.array_equal(stacked.flat[i], p.flat), (t, i)
+    assert state.t == 25
+
+
+def test_group_check_names_the_first_bad_model_and_its_first_bad_tensor():
+    stacked = ParamSet.stack([fresh(30 + i) for i in range(3)])
+    before = stacked.flat.copy()
+    dirs = [grad_like(fresh(30 + i), fill=1.0) for i in range(3)]
+    dirs[1].w_class[0, 1] = np.nan
+    dirs[1].w_dom[1, 0] = np.inf   # later in TENSOR_ORDER than w_class
+    dirs[2].adj[0] = np.nan        # a later model
+    state = AdamState.for_params(stacked)
+    with pytest.raises(DivergenceError, match="^fold 1: .*'w_class'$"):
+        adam_update(state, stacked, flat_directions(
+            stacked, stacked_directions(dirs), ["fold 0: ", "fold 1: ", "fold 2: "]
+        ))
+    assert state.t == 0 and np.array_equal(stacked.flat, before)

@@ -1,4 +1,5 @@
 """Training loop behavior: reproducibility, switches, failure modes."""
+import collections
 import importlib
 
 import numpy as np
@@ -400,17 +401,18 @@ def test_group_size_at_the_workload_shapes(monkeypatch):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
 @pytest.mark.parametrize("poison", [np.nan, np.inf])
 def test_lockstep_divergence_names_the_model(poison):
-    # NaN makes the loss non-finite; inf leaves it finite and is caught by
-    # adam_step's precheck on the directions
-    from eegraph.data import split_loso
+    # on this 6-channel set NaN makes the loss non-finite, while inf leaves
+    # it finite and is caught by the finite check on the group's directions,
+    # which also names the model's first non-finite tensor
     from eegraph.train import train_lockstep
 
-    jobs = [(fold_train, None) for fold_train, _ in split_loso(GATE_DS)[:3]]
-    broken = jobs[1][0].take(np.arange(jobs[1][0].n_samples))
+    broken = DS.take(np.arange(DS.n_samples))
     broken.features[0, 0, 0] = poison
-    jobs[1] = (broken, None)
-    with pytest.raises(DivergenceError, match="^fold 1: "):
-        train_lockstep(jobs, TrainConfig(**GATE), names=["fold 0", "fold 1", "fold 2"])
+    jobs = [(DS, None), (broken, None), (DS, None)]
+    match = ("^fold 1: non-finite loss" if np.isnan(poison)
+             else "^fold 1: non-finite update direction for tensor 'adj'$")
+    with pytest.raises(DivergenceError, match=match):
+        train_lockstep(jobs, TrainConfig(**QUICK), names=["fold 0", "fold 1", "fold 2"])
 
 
 def test_lockstep_groups_jobs_by_size_and_keeps_their_order(monkeypatch):
@@ -429,19 +431,23 @@ def test_lockstep_groups_jobs_by_size_and_keeps_their_order(monkeypatch):
 
 
 def test_adam_steps_once_per_model_step(monkeypatch):
+    # one group update per lockstep step, with one row per model in the group
     from eegraph.eval import run_protocol
 
     train_module = importlib.import_module("eegraph.train")
+    real = train_module.adam_update
     calls = []
-    real = train_module.adam_step
 
-    def counted(state, params, directions):
-        calls.append(id(state))
-        return real(state, params, directions)
+    def counted(state, params, g):
+        calls.append((state, len(params.flat)))
+        return real(state, params, g)
 
-    monkeypatch.setattr(train_module, "adam_step", counted)
+    monkeypatch.setattr(train_module, "adam_update", counted)
     cfg = TrainConfig(**GATE, node_dat=True)
     run_protocol(GATE_DS, "loso", cfg)
     steps_per_model = cfg.epochs * -(-72 // cfg.batch_size)
-    assert len(calls) == 4 * steps_per_model
-    assert sorted(calls.count(s) for s in set(calls)) == [steps_per_model] * 4
+    # the 4 folds train on 72 samples each: one group of 4 models
+    assert [rows for _, rows in calls] == [4] * steps_per_model
+    steps = collections.Counter((id(state), row) for state, rows in calls for row in range(rows))
+    assert sorted(steps.values()) == [steps_per_model] * 4
+    assert calls[-1][0].t == steps_per_model
