@@ -2,7 +2,11 @@
 generator, split protocols, and band selection.
 
 Features are log-power style band summaries, one value per (channel,
-band). Bundles store float32 on disk and widen to float64 in memory.
+band). Bundles store float32 on disk and stay float32 in memory; the
+model widens each batch to float64 as it reads it, which is exact.
+The split protocols describe each fold as two row-index arrays into the
+one dataset (training rows, held-out rows), so a run holds one feature
+array however many folds it has.
 The generator builds class-separated Gaussian features with persistent
 per-subject distortions, which is exactly the structure the domain and
 label regularizers are supposed to exploit.
@@ -32,11 +36,19 @@ def _band_names_for(d: int) -> list[str]:
     return [f"band{i}" for i in range(d)]
 
 
+def _feature_array(features) -> np.ndarray:
+    """The features as given when float32 or float64; any other dtype widens to float64."""
+    features = np.asarray(features)
+    if features.dtype not in (np.float32, np.float64):
+        features = features.astype(np.float64)
+    return features
+
+
 @dataclass
 class FeatureDataset:
     """In-memory dataset of per-channel band features with group metadata."""
 
-    features: np.ndarray     # (N, channels, bands) float64
+    features: np.ndarray     # (N, channels, bands) float32 or float64, kept as given
     labels: np.ndarray       # (N,) int64
     subject_ids: np.ndarray  # (N,) int64
     trial_ids: np.ndarray    # (N,) int64
@@ -44,7 +56,7 @@ class FeatureDataset:
     label_scheme: str | int = "seed3"
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _feature_array(self.features)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.subject_ids = np.asarray(self.subject_ids, dtype=np.int64)
         self.trial_ids = np.asarray(self.trial_ids, dtype=np.int64)
@@ -62,12 +74,16 @@ class FeatureDataset:
         if n and (self.labels.min() < 0 or self.labels.max() >= c):
             raise ConfigError(f"labels must lie in [0, {c}), got range "
                               f"[{self.labels.min()}, {self.labels.max()}]")
-        # one observed label per (subject, trial) group
-        groups: dict[tuple[int, int], int] = {}
-        for s, t, y in zip(self.subject_ids, self.trial_ids, self.labels):
-            key = (int(s), int(t))
-            if groups.setdefault(key, int(y)) != int(y):
-                raise ConfigError(f"subject {s} trial {t} carries conflicting labels")
+        # one observed label per (subject, trial) group: every row must
+        # carry its group's first label; the first row that does not is named
+        if n:
+            keys = np.stack([self.subject_ids, self.trial_ids], axis=1)
+            _, first, group = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+            bad = np.flatnonzero(self.labels != self.labels[first][group.ravel()])
+            if bad.size:
+                i = bad[0]
+                raise ConfigError(f"subject {self.subject_ids[i]} trial {self.trial_ids[i]} "
+                                  f"carries conflicting labels")
 
     @property
     def n_samples(self) -> int:
@@ -108,10 +124,10 @@ class FeatureDataset:
 class UnlabeledSet:
     """Target-domain features with the labels structurally removed."""
 
-    features: np.ndarray  # (N, channels, bands) float64
+    features: np.ndarray  # (N, channels, bands) float32 or float64, kept as given
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.features = _feature_array(self.features)
         if self.features.ndim != 3:
             raise ConfigError(f"features must be (samples, channels, bands), got {self.features.shape}")
 
@@ -173,23 +189,25 @@ def load_dataset(path) -> FeatureDataset:
         raise CorruptBundleError(
             f"{mpath}: label_scheme {scheme!r} implies {implied} classes, manifest says {c}"
         )
-    fbytes = (root / FEATURES_NAME).read_bytes() if (root / FEATURES_NAME).is_file() else None
-    lbytes = (root / LABELS_NAME).read_bytes() if (root / LABELS_NAME).is_file() else None
-    if fbytes is None or lbytes is None:
+    fpath, lpath = root / FEATURES_NAME, root / LABELS_NAME
+    if not (fpath.is_file() and lpath.is_file()):
         raise CorruptBundleError(f"{root}: missing feature or label blob")
-    want_f = n * channels * bands * 4
-    if len(fbytes) != want_f:
+    want_f, found_f = n * channels * bands * 4, fpath.stat().st_size
+    if found_f != want_f:
         raise CorruptBundleError(
             f"{root}/{FEATURES_NAME}: expected {want_f} bytes for "
-            f"{n}x{channels}x{bands} float32, found {len(fbytes)}"
+            f"{n}x{channels}x{bands} float32, found {found_f}"
         )
-    want_l = n * 8
-    if len(lbytes) != want_l:
+    want_l, found_l = n * 8, lpath.stat().st_size
+    if found_l != want_l:
         raise CorruptBundleError(
-            f"{root}/{LABELS_NAME}: expected {want_l} bytes, found {len(lbytes)}"
+            f"{root}/{LABELS_NAME}: expected {want_l} bytes, found {found_l}"
         )
-    features = np.frombuffer(fbytes, dtype="<f4").astype(np.float64).reshape(n, channels, bands)
-    labels = np.frombuffer(lbytes, dtype="<i8").astype(np.int64)
+    # the blobs are read only after their sizes check out, straight into
+    # the arrays; float32 stays float32 in memory
+    features = np.fromfile(fpath, dtype="<f4").astype(np.float32, copy=False)
+    features = features.reshape(n, channels, bands)
+    labels = np.fromfile(lpath, dtype="<i8").astype(np.int64, copy=False)
     try:
         return FeatureDataset(
             features=features,
@@ -345,36 +363,46 @@ def synthesize(cfg: SynthConfig) -> FeatureDataset:
 
 # --- split protocols -------------------------------------------------------
 
-def split_subject_dependent(ds: FeatureDataset, train_trials: int) -> list[tuple[FeatureDataset, FeatureDataset]]:
-    """Per subject: the first `train_trials` trials train, the rest test."""
+Fold = tuple[np.ndarray, np.ndarray]  # (training rows, held-out rows) into one dataset
+
+
+def _subject_dependent_rows(ds: FeatureDataset, train_trials: int) -> list[Fold]:
+    """Per subject: the rows of the first `train_trials` trials train, the rest test."""
     if train_trials < 1:
         raise ConfigError(f"train_trials must be >= 1, got {train_trials}")
     folds = []
     for s in ds.subjects():
         mask = ds.subject_ids == s
-        trials = sorted(int(t) for t in np.unique(ds.trial_ids[mask]))
+        trials = np.unique(ds.trial_ids[mask])
         if len(trials) < train_trials:
             raise ConfigError(f"subject {s} has {len(trials)} trials, needs > {train_trials}")
         if len(trials) == train_trials:
             raise ConfigError(f"subject {s}: all {train_trials} trials would train, none left to test")
-        head = set(trials[:train_trials])
-        in_head = np.array([int(t) in head for t in ds.trial_ids])
-        folds.append((ds.take(np.flatnonzero(mask & in_head)),
-                      ds.take(np.flatnonzero(mask & ~in_head))))
+        in_head = np.isin(ds.trial_ids, trials[:train_trials])
+        folds.append((np.flatnonzero(mask & in_head), np.flatnonzero(mask & ~in_head)))
     return folds
 
 
-def split_loso(ds: FeatureDataset) -> list[tuple[FeatureDataset, FeatureDataset]]:
-    """One fold per subject: that subject tests, all others train."""
+def _loso_rows(ds: FeatureDataset) -> list[Fold]:
+    """One fold per subject: that subject's rows test, all other rows train."""
     subjects = ds.subjects()
     if len(subjects) < 2:
         raise ConfigError("leave-one-subject-out needs at least 2 subjects")
     folds = []
     for s in subjects:
         test_mask = ds.subject_ids == s
-        folds.append((ds.take(np.flatnonzero(~test_mask)),
-                      ds.take(np.flatnonzero(test_mask))))
+        folds.append((np.flatnonzero(~test_mask), np.flatnonzero(test_mask)))
     return folds
+
+
+def split_subject_dependent(ds: FeatureDataset, train_trials: int) -> list[tuple[FeatureDataset, FeatureDataset]]:
+    """Per subject: the first `train_trials` trials train, the rest test."""
+    return [(ds.take(tr), ds.take(te)) for tr, te in _subject_dependent_rows(ds, train_trials)]
+
+
+def split_loso(ds: FeatureDataset) -> list[tuple[FeatureDataset, FeatureDataset]]:
+    """One fold per subject: that subject tests, all others train."""
+    return [(ds.take(tr), ds.take(te)) for tr, te in _loso_rows(ds)]
 
 
 def band_select(ds: FeatureDataset, bands) -> FeatureDataset:
@@ -382,11 +410,12 @@ def band_select(ds: FeatureDataset, bands) -> FeatureDataset:
     bands = list(bands)
     if not bands:
         raise ConfigError("band selection must name at least one band")
-    idx = []
     for name in bands:
         if name not in ds.band_names:
             raise ConfigError(f"unknown band {name!r}; have {ds.band_names}")
-        idx.append(ds.band_names.index(name))
+        if bands.count(name) > 1:
+            raise ConfigError(f"band {name!r} is selected more than once")
+    idx = [ds.band_names.index(name) for name in bands]
     return replace(
         ds,
         features=ds.features[:, :, idx],

@@ -1,8 +1,10 @@
 """Evaluation protocols, metrics, and trained-model inspection.
 
-`run_protocol` trains one model per fold in one `train_lockstep` call,
-which groups the folds whose training sets have the same size, and
-scores each fold's model on its held-out set.
+`run_protocol` keeps the one dataset it is given and describes each fold
+as two row-index arrays into it, training rows and held-out rows. It
+trains one model per fold in one `train_indexed` call, which groups the
+folds whose training sets have the same size, and scores each fold's
+model on its held-out rows; no fold's features are copied.
 """
 from __future__ import annotations
 
@@ -10,11 +12,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import FeatureDataset, split_loso, split_subject_dependent
+from .data import FeatureDataset, _loso_rows, _subject_dependent_rows
 from .errors import ConfigError
 from .model import predict
 from .params import ModelConfig, ParamSet
-from .train import TrainConfig, TrainResult, train_lockstep
+from .train import IndexedJob, TrainConfig, TrainResult, train_indexed
 
 
 @dataclass
@@ -44,17 +46,24 @@ class EvalReport:
         }
 
 
-def evaluate(cfg: ModelConfig, params: ParamSet, test_ds: FeatureDataset) -> tuple[float, np.ndarray]:
-    """Accuracy and confusion counts on a held-out set, dropout off."""
+def evaluate(
+    cfg: ModelConfig, params: ParamSet, test_ds: FeatureDataset, *, rows: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
+    """Accuracy and confusion counts on a held-out set, dropout off.
+
+    `rows`, if given, scores only those rows of `test_ds`, gathered a
+    prediction chunk at a time.
+    """
     if test_ds.n_classes != cfg.n_classes:
         raise ConfigError(
             f"dataset scheme has {test_ds.n_classes} classes, model has {cfg.n_classes}"
         )
-    preds = predict(cfg, params, test_ds.features)
+    labels = test_ds.labels if rows is None else test_ds.labels[rows]
+    preds = predict(cfg, params, test_ds.features, rows=rows)
     c = cfg.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
-    np.add.at(confusion, (test_ds.labels, preds), 1)
-    accuracy = float(np.trace(confusion) / max(1, test_ds.n_samples))
+    np.add.at(confusion, (labels, preds), 1)
+    accuracy = float(np.trace(confusion) / max(1, len(labels)))
     return accuracy, confusion
 
 
@@ -74,36 +83,36 @@ def run_protocol(
 
     Subject-dependent folds train and test within each subject; the
     leave-one-subject-out protocol holds each subject's data out entirely.
-    When domain adaptation is on, the held-out fold's features (labels
-    stripped) serve as the target domain. Folds with training sets of one
-    size train in lockstep; each model is bitwise what `train` gives.
+    When domain adaptation is on, the held-out fold's rows serve as the
+    target domain; the trainer sees them as row indices only, and the
+    labels of the training rows are the only labels it receives. Folds
+    with training sets of one size train in lockstep; each model is
+    bitwise what `train` gives on a copy of its fold.
     """
     if protocol == "subject_dependent":
         if train_trials is None:
             raise ConfigError("subject_dependent protocol needs train_trials")
-        folds = split_subject_dependent(ds, train_trials)
+        folds = _subject_dependent_rows(ds, train_trials)
     elif protocol == "loso":
-        folds = split_loso(ds)
+        folds = _loso_rows(ds)
     else:
         raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
 
-    jobs = [(fold_train, fold_test.unlabeled() if cfg.uses_domain else None)
-            for fold_train, fold_test in folds]
-    results = train_lockstep(jobs, cfg, layout=layout, global_pairs=global_pairs,
-                             names=[f"fold {i}" for i in range(len(folds))])
+    jobs = [IndexedJob(train_rows, ds.labels[train_rows], ds.label_scheme,
+                       test_rows if cfg.uses_domain else None)
+            for train_rows, test_rows in folds]
+    results = train_indexed(ds.features, jobs, cfg, layout=layout, global_pairs=global_pairs,
+                            names=[f"fold {i}" for i in range(len(folds))])
 
     accuracies: list[float] = []
     infos: list[dict] = []
     confusion = np.zeros((ds.n_classes, ds.n_classes), dtype=np.int64)
-    for i, ((_, fold_test), result) in enumerate(zip(folds, results)):
-        acc, conf = evaluate(result.model_cfg, result.params, fold_test)
+    for i, ((_, test_rows), result) in enumerate(zip(folds, results)):
+        acc, conf = evaluate(result.model_cfg, result.params, ds, rows=test_rows)
         accuracies.append(acc)
         confusion += conf
-        info = {"fold": i, "accuracy": acc, "n_test": fold_test.n_samples}
-        if protocol == "loso":
-            info["test_subject"] = int(fold_test.subject_ids[0])
-        else:
-            info["subject"] = int(fold_test.subject_ids[0])
+        info = {"fold": i, "accuracy": acc, "n_test": len(test_rows)}
+        info["test_subject" if protocol == "loso" else "subject"] = int(ds.subject_ids[test_rows[0]])
         infos.append(info)
     report = EvalReport(fold_accuracies=accuracies, confusion=confusion, fold_info=infos)
     return report, results

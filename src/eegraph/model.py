@@ -237,7 +237,9 @@ def domain_forward(params: ParamSet, trace: ForwardTrace, level: str = "node") -
     return DomainTrace(level=level, inputs=inputs, logits=logits, probs=probs, log_probs=log_probs)
 
 
-def predict_proba(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:
+def predict_proba(
+    cfg: ModelConfig, params: ParamSet, x: np.ndarray, *, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Class probabilities with dropout off, in bounded row chunks.
 
     A (samples, channels, bands) stack runs through `forward` a chunk of
@@ -247,21 +249,28 @@ def predict_proba(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarr
     time. The hidden-width arrays are bitwise those of one forward over
     all rows; the probabilities may differ from it in the last bits,
     because BLAS can order the sums of the (rows, hidden) @ (hidden,
-    classes) head product differently for another row count.
+    classes) head product differently for another row count. `rows`
+    selects the rows of `x` to score, in order: each chunk gathers only
+    its own rows, so the result is bitwise that for `x[rows]` and no
+    copy of the selection is made.
     """
     x = np.asarray(x)
     if x.ndim != 3:
         # a single (channels, bands) sample, or a shape forward rejects
         return forward(cfg, params, x).probs
-    rows = max(1, EVAL_CHUNK_ELEMENTS // (cfg.n_channels * cfg.hidden_dim))
+    step = max(1, EVAL_CHUNK_ELEMENTS // (cfg.n_channels * cfg.hidden_dim))
+    n = len(x) if rows is None else len(rows)
     prop = normalized_propagator(params.adj)
     # an empty stack still runs one (empty) chunk, for its shape checks
     return np.concatenate([
-        forward(cfg, params, x[i : i + rows], prop=prop).probs
-        for i in range(0, max(len(x), 1), rows)
+        forward(cfg, params, x[i : i + step] if rows is None
+                else np.take(x, rows[i : i + step], axis=0), prop=prop).probs
+        for i in range(0, max(n, 1), step)
     ])
 
 
-def predict(cfg: ModelConfig, params: ParamSet, x: np.ndarray) -> np.ndarray:
+def predict(
+    cfg: ModelConfig, params: ParamSet, x: np.ndarray, *, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Hard labels with dropout off; ties break toward the lower class index."""
-    return predict_proba(cfg, params, x).argmax(axis=1)
+    return predict_proba(cfg, params, x, rows=rows).argmax(axis=1)

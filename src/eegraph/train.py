@@ -5,13 +5,19 @@ source samples and, when enabled, a paired target batch stacked behind
 them. The classifier reads the source rows and one domain-head call reads
 all rows; one fused backward gives the update directions of both
 objectives under the reversal schedule, and one Adam update applies them.
-Soft-label targets are rows of the scheme's table, gathered once per
-training set; target batches are gathered from the target features
-through the row indices `resample_target` draws once per epoch.
-Models whose training sets have the same size train in lockstep
-(`train_lockstep`): their parameters are the rows of one (k, P) matrix,
-and each step runs one forward, one backward and one Adam update over a
-leading model axis. `train` is the one-model case.
+The trainer reads features as rows of one shared array
+(`train_indexed`): each model is a job of training-row indices with
+those rows' labels and, for the domain path, target-row indices, so no
+training set or target set is copied. Soft-label targets are rows of
+the scheme's table, gathered once per group; target rows are drawn once
+per epoch by `resample_target`. Models whose training sets have the
+same size train in lockstep: their parameters are the rows of one
+(k, P) matrix, and each step gathers the (k, batch) source rows with
+one `np.take`, the target rows with another, and runs one forward, one
+backward and one Adam update over a leading model axis. Per-epoch
+training accuracy runs `predict` per model over its rows, one chunk
+gathered at a time. `train` and `train_lockstep` take datasets: their
+arrays are concatenated once and the jobs become rows of the result.
 Runs are bit-reproducible, and a model's result does not depend on the
 group it trained in: every random draw comes from a child stream of the
 run seed, one set per model, and the same children are spawned whether
@@ -39,7 +45,7 @@ from .electrodes import (
 )
 from .errors import ConfigError, DivergenceError
 from .gradients import step_directions
-from .losses import convert_labels, domain_loss, grl_beta, kl_loss, l1_penalty
+from .losses import convert_labels, domain_loss, grl_beta, kl_loss, l1_penalty, scheme_classes
 from .model import (
     EVAL_CHUNK_ELEMENTS,
     domain_forward,
@@ -138,15 +144,30 @@ def resolve_delta(layout: ElectrodeLayout, delta: float | None) -> float:
     return calibrate_delta(dist)
 
 
-def make_model_config(cfg: TrainConfig, ds: FeatureDataset) -> ModelConfig:
+def make_model_config(cfg: TrainConfig, features: np.ndarray, label_scheme: str | int) -> ModelConfig:
+    """The model for (samples, channels, bands) features labeled under `label_scheme`."""
     return ModelConfig(
-        n_channels=ds.n_channels,
-        in_dim=ds.n_bands,
+        n_channels=features.shape[1],
+        in_dim=features.shape[2],
         hidden_dim=cfg.hidden_dim,
-        n_classes=ds.n_classes,
+        n_classes=scheme_classes(label_scheme),
         steps=cfg.steps,
         dropout=cfg.dropout,
     )
+
+
+@dataclass(frozen=True)
+class IndexedJob:
+    """One model to train, described as rows of a feature array it shares.
+
+    The labels are those of the training rows only; the target domain is
+    row indices into the features, so no target label reaches the trainer.
+    """
+
+    rows: np.ndarray                        # (n,) training rows
+    labels: np.ndarray                      # (n,) their labels
+    label_scheme: str | int
+    target_rows: np.ndarray | None = None   # target-domain rows, for the domain path
 
 
 def train(
@@ -175,21 +196,68 @@ def train_lockstep(
 ) -> list[TrainResult]:
     """Train one model per (train set, target) job; results in job order.
 
-    Jobs whose training sets have the same shape train in lockstep, in
-    groups of at most `_group_size` models. Each model's result is
-    bitwise that of `train` on its own job. `names` label the models in a
-    `DivergenceError` (e.g. the fold each one belongs to).
+    The jobs' feature arrays (and their targets', when the domain path is
+    on) are concatenated once per (channels, bands) shape, and each job
+    becomes rows of that array for `train_indexed`. Each model's result
+    is bitwise that of `train` on its own job. `names` label the models
+    in a `DivergenceError` (e.g. the fold each one belongs to).
     """
-    by_shape: dict[tuple, list[int]] = {}
+    by_cells: dict[tuple, list[int]] = {}
     for i, (ds, _) in enumerate(jobs):
-        by_shape.setdefault((ds.features.shape, ds.n_classes), []).append(i)
+        by_cells.setdefault(ds.features.shape[1:], []).append(i)
     results: list[TrainResult] = [None] * len(jobs)
-    for same in by_shape.values():
-        cap = _group_size(cfg, jobs[same[0]][0].n_channels)
+    for same in by_cells.values():
+        arrays, indexed, start = [], [], 0
+        for i in same:
+            ds, target = jobs[i]
+            arrays.append(ds.features)
+            rows = np.arange(start, start + ds.n_samples)
+            start += ds.n_samples
+            target_rows = None
+            if cfg.uses_domain and target is not None:
+                if target.features.shape[1:] != ds.features.shape[1:]:
+                    raise ConfigError(
+                        f"target feature shape {target.features.shape[1:]} does not match "
+                        f"source {ds.features.shape[1:]}"
+                    )
+                arrays.append(target.features)
+                target_rows = np.arange(start, start + target.n_samples)
+                start += target.n_samples
+            indexed.append(IndexedJob(rows, ds.labels, ds.label_scheme, target_rows))
+        trained = train_indexed(np.concatenate(arrays), indexed, cfg, layout=layout,
+                                global_pairs=global_pairs,
+                                names=[names[i] for i in same] if names else None)
+        for i, result in zip(same, trained):
+            results[i] = result
+    return results
+
+
+def train_indexed(
+    features: np.ndarray,
+    jobs: list[IndexedJob],
+    cfg: TrainConfig,
+    *,
+    layout: ElectrodeLayout | None = None,
+    global_pairs: GlobalPairSet | None = None,
+    names: list[str] | None = None,
+) -> list[TrainResult]:
+    """Train one model per job over one (samples, channels, bands) array.
+
+    Jobs with the same number of training rows and classes train in
+    lockstep, in groups of at most `_group_size` models; each model's
+    result is bitwise that of `train` on a copy of its rows. `names`
+    label the models in a `DivergenceError`.
+    """
+    by_size: dict[tuple, list[int]] = {}
+    for i, job in enumerate(jobs):
+        by_size.setdefault((len(job.rows), scheme_classes(job.label_scheme)), []).append(i)
+    results: list[TrainResult] = [None] * len(jobs)
+    cap = _group_size(cfg, features.shape[1])
+    for same in by_size.values():
         for j in range(0, len(same), cap):
             group = same[j : j + cap]
             trained = _train_group(
-                [jobs[i] for i in group], cfg, layout, global_pairs,
+                features, [jobs[i] for i in group], cfg, layout, global_pairs,
                 [f"{names[i]}: " for i in group] if names else [""] * len(group),
             )
             for i, result in zip(group, trained):
@@ -209,37 +277,28 @@ def _group_size(cfg: TrainConfig, n_channels: int) -> int:
 
 
 def _train_group(
-    jobs: list[tuple[FeatureDataset, UnlabeledSet | FeatureDataset | None]],
+    features: np.ndarray,
+    jobs: list[IndexedJob],
     cfg: TrainConfig,
     layout: ElectrodeLayout | None,
     global_pairs: GlobalPairSet | None,
     prefixes: list[str],
 ) -> list[TrainResult]:
-    """Train the models of jobs with training sets of one shape, all steps in lockstep."""
-    train_sets = [ds for ds, _ in jobs]
-    first = train_sets[0]
-    if first.n_samples == 0:
+    """Train the models of equal-size jobs over one feature array, all steps in lockstep."""
+    n = len(jobs[0].rows)
+    if n == 0:
         raise ConfigError("training set is empty")
-    # target feature arrays, read only through per-epoch resampled row indices
-    targets = []
-    if cfg.uses_domain:
-        for train_ds, target in jobs:
-            if target is None:
-                raise ConfigError("domain adaptation is on but no target data was supplied")
-            if target.features.shape[1:] != train_ds.features.shape[1:]:
-                raise ConfigError(
-                    f"target feature shape {target.features.shape[1:]} does not match "
-                    f"source {train_ds.features.shape[1:]}"
-                )
-            targets.append(target.features)
+    if cfg.uses_domain and any(job.target_rows is None for job in jobs):
+        raise ConfigError("domain adaptation is on but no target data was supplied")
+    n_channels = features.shape[1]
     if layout is None:
-        layout, auto_pairs = default_layout_for(first.n_channels)
+        layout, auto_pairs = default_layout_for(n_channels)
         if global_pairs is None:
             global_pairs = auto_pairs
-    if layout.n != first.n_channels:
-        raise ConfigError(f"layout has {layout.n} electrodes, data has {first.n_channels} channels")
+    if layout.n != n_channels:
+        raise ConfigError(f"layout has {layout.n} electrodes, data has {n_channels} channels")
 
-    model_cfg = make_model_config(cfg, first)
+    model_cfg = make_model_config(cfg, features, jobs[0].label_scheme)
     delta = resolve_delta(layout, cfg.delta)
     adj0 = initial_adjacency(layout, global_pairs, delta)
 
@@ -257,9 +316,9 @@ def _train_group(
     stacked = ParamSet.stack(models)
     state = AdamState.for_params(stacked, cfg.adam())
 
-    n = first.n_samples
     epsilon = cfg.epsilon if cfg.emotion_dl else 0.0
-    targets_all = np.stack([convert_labels(ds.labels, ds.label_scheme, epsilon) for ds in train_sets])
+    soft = np.stack([convert_labels(job.labels, job.label_scheme, epsilon) for job in jobs])
+    source_rows = np.stack([job.rows for job in jobs])
     model_rows = np.arange(len(jobs))[:, None]
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_batches = cfg.epochs * batches_per_epoch
@@ -268,24 +327,27 @@ def _train_group(
     done_batches = 0
     for epoch in range(cfg.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        epoch_rows = [resample_target(n, len(t), ss[epoch])
-                      for t, ss in zip(targets, target_epoch_ss)]
+        # (k, n) feature rows in this epoch's batch order, source and target
+        epoch_source = source_rows[model_rows, orders]
+        if cfg.uses_domain:
+            epoch_target = np.stack([
+                job.target_rows[resample_target(n, len(job.target_rows), ss[epoch])]
+                for job, ss in zip(jobs, target_epoch_ss)
+            ])
         kl_sum, l1_sum, dom_sum = (np.zeros(len(jobs)) for _ in range(3))
         beta = 0.0
         for b in range(batches_per_epoch):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
             idx = orders[:, rows]
-            x = np.stack([ds.features[i] for ds, i in zip(train_sets, idx)])
-            batch_targets = targets_all[model_rows, idx]
+            x = np.take(features, epoch_source[:, rows], axis=0)
+            batch_targets = soft[model_rows, idx]
             # at rate 0 every unit is kept: no mask, and no draw from a
             # stream that feeds nothing else
             mask = None
             if cfg.dropout > 0.0:
                 shape = (idx.shape[1], cfg.hidden_dim)
                 mask = np.stack([sample_dropout_mask(rng, shape, cfg.dropout) for rng in dropout_rngs])
-            tx = None
-            if cfg.uses_domain:
-                tx = np.stack([t[r[rows]] for t, r in zip(targets, epoch_rows)])
+            tx = np.take(features, epoch_target[:, rows], axis=0) if cfg.uses_domain else None
             # A non-finite feature makes the forward and the backward meet
             # inf - inf; the loss check reports it, or the finite check of
             # flat_directions when the activations it poisons still leave
@@ -320,8 +382,8 @@ def _train_group(
             l1_sum += l1
             dom_sum += dom
             done_batches += 1
-        for i, (ds, params) in enumerate(zip(train_sets, models)):
-            train_acc = float((predict(model_cfg, params, ds.features) == ds.labels).mean())
+        for i, (job, params) in enumerate(zip(jobs, models)):
+            train_acc = float((predict(model_cfg, params, features, rows=job.rows) == job.labels).mean())
             histories[i].append(
                 {
                     "epoch": epoch,

@@ -1,22 +1,30 @@
-"""The benchmark harness in perfbench/ still accepts a traced run of the trainer.
+"""The benchmark harness in perfbench/ still accepts the trainer's runs.
 
 perfbench counts calls to the names it wraps and refuses a traced run
 whose step count differs from the model steps the workload implies, so a
 trainer change that rebinds or renames a traced function can break the
-benchmark while every unit test passes.
+benchmark while every unit test passes. An untraced run checks that
+every fold checkpoint reloads and scores what `report.json` says on
+perfbench's own copied LOSO folds, and that repeated runs write the same
+report; those checks read the data path that folds and bundles take.
 """
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tiny_traced_gate_run_is_accepted(tmp_path):
+@pytest.mark.parametrize("trace", [1, 0], ids=["traced", "untraced"])
+@pytest.mark.parametrize("workload", ["gate", "seed62", "seed62_wide"])
+def test_tiny_run_is_accepted(tmp_path, workload, trace):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "gate",
-         "--seed", "0", "--seconds", "1", "--trace", "1", "--tiny", "--workdir", str(tmp_path)],
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "0", "--seconds", "1", "--trace", str(trace), "--tiny",
+         "--workdir", str(tmp_path)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

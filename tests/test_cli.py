@@ -3,11 +3,13 @@ import json
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eegraph.cli import EXIT_INVALID, EXIT_OK, EXIT_RUNTIME, main
+from eegraph.data import SynthConfig, save_dataset, synthesize
 
 SYNTH_DOC = {
     "subjects": 2, "trials_per_class": 2, "samples_per_trial": 2,
@@ -152,6 +154,51 @@ def test_train_band_selection_recorded(bundle, tmp_path, capsys):
     capsys.readouterr()
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["bands"] == ["band2", "band0"]
+
+
+def test_train_rejects_a_band_named_twice(bundle, tmp_path, capsys):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(TRAIN_DOC))
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(bundle), "--config", str(cfg),
+                 "--out", str(out), "--bands", "band1,band1"]) == EXIT_INVALID
+    assert "band 'band1' is selected more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_loso_artifacts_ignore_the_held_out_labels(tmp_path, capsys):
+    # the trainer sees the held-out subject as target rows only: relabeling
+    # that subject (still one label per trial) leaves its fold's checkpoint
+    # and history byte-identical; only the fold's scored accuracy may move
+    ds = synthesize(SynthConfig(subjects=3, trials_per_class=2, samples_per_trial=3,
+                                n_channels=6, n_bands=3, n_classes=3, seed=7))
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**TRAIN_DOC, "node_dat": True, "emotion_dl": True,
+                               "epsilon": 0.3, "dropout": 0.5}))
+
+    def run(labels, name):
+        save_dataset(replace(ds, labels=labels), tmp_path / f"{name}.bundle")
+        out = tmp_path / name
+        assert main(["train", "--data", str(tmp_path / f"{name}.bundle"), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_OK
+        history = json.loads((out / "history.json").read_text())
+        report = json.loads((out / "report.json").read_text())
+        return out, history, report
+
+    base, base_history, base_report = run(ds.labels, "base")
+    moved = False
+    for s in ds.subjects():
+        labels = ds.labels.copy()
+        held = ds.subject_ids == s
+        labels[held] = (labels[held] + 1) % 3
+        out, history, report = run(labels, f"scrambled{s}")
+        assert (out / f"fold{s}.ckpt").read_bytes() == (base / f"fold{s}.ckpt").read_bytes()
+        assert json.dumps(history[s]) == json.dumps(base_history[s])
+        fold, base_fold = report["folds"][s], base_report["folds"][s]
+        assert {**fold, "accuracy": None} == {**base_fold, "accuracy": None}
+        moved |= fold["accuracy"] != base_fold["accuracy"]
+    capsys.readouterr()
+    assert moved
 
 
 def test_train_needs_protocol(bundle, tmp_path, capsys):

@@ -1,13 +1,19 @@
 """Synthetic generator, bundle IO, and split protocols."""
 import json
+import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eegraph.data import (
     DEFAULT_BANDS,
     FeatureDataset,
     SynthConfig,
+    UnlabeledSet,
+    _loso_rows,
+    _subject_dependent_rows,
     band_select,
     informative_channels,
     load_dataset,
@@ -138,6 +144,57 @@ def test_dataset_validation():
                        ds.band_names, ds.label_scheme)
 
 
+def test_conflicting_labels_name_the_first_offending_row():
+    # rows 0..3: subject 4 trial 1 (labels 0, 0, 2, 1), then subject 2 trial 0
+    subject_ids = [4, 4, 2, 4, 4]
+    trial_ids = [1, 1, 0, 1, 1]
+    labels = [0, 0, 1, 2, 1]
+    with pytest.raises(ConfigError) as exc:
+        FeatureDataset(np.zeros((5, 1, 1)), labels, subject_ids, trial_ids, ["b"], 3)
+    assert str(exc.value) == "subject 4 trial 1 carries conflicting labels"
+
+
+def _label_conflict_loop(subject_ids, trial_ids, labels):
+    """The per-row check the vectorized one replaced: the first message, or None."""
+    groups = {}
+    for s, t, y in zip(np.asarray(subject_ids, dtype=np.int64),
+                       np.asarray(trial_ids, dtype=np.int64), labels):
+        if groups.setdefault((int(s), int(t)), int(y)) != int(y):
+            return f"subject {s} trial {t} carries conflicting labels"
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(0, 3), st.integers(0, 2)),
+                max_size=24))
+def test_label_check_matches_the_per_row_loop(rows):
+    subject_ids = [r[0] for r in rows]
+    trial_ids = [r[1] for r in rows]
+    labels = [r[2] for r in rows]
+    want = _label_conflict_loop(subject_ids, trial_ids, labels)
+    try:
+        FeatureDataset(np.zeros((len(rows), 1, 1)), np.array(labels, dtype=np.int64),
+                       subject_ids, trial_ids, ["b"], 3)
+        got = None
+    except ConfigError as exc:
+        got = str(exc)
+    assert got == want
+
+
+@pytest.mark.parametrize("dtype, kept", [
+    (np.float32, np.float32), (np.float64, np.float64),
+    (np.float16, np.float64), (np.int64, np.float64), (">f4", np.float64),
+])
+def test_feature_dtype_is_kept_or_widened(dtype, kept):
+    ds = synthesize(BASE)
+    features = ds.features.astype(dtype)
+    got = FeatureDataset(features, ds.labels, ds.subject_ids, ds.trial_ids,
+                         ds.band_names, ds.label_scheme)
+    assert got.features.dtype == kept
+    assert UnlabeledSet(features).features.dtype == kept
+    assert np.array_equal(got.features, features.astype(np.float64))
+
+
 def test_take_and_unlabeled():
     ds = synthesize(BASE)
     sub = ds.take(np.arange(5))
@@ -163,7 +220,7 @@ def test_bundle_round_trip(tmp_path):
     assert np.array_equal(back.trial_ids, ds.trial_ids)
     assert back.band_names == ds.band_names
     assert back.label_scheme == ds.label_scheme
-    assert back.features.dtype == np.float64
+    assert back.features.dtype == np.float32
 
 
 def test_bundle_files_present(tmp_path):
@@ -339,6 +396,36 @@ def test_loso_split():
         assert train.n_samples + test.n_samples == ds.n_samples
 
 
+def test_fold_rows_match_the_copied_splits():
+    ds = synthesize(BASE)
+    for rows, copies in ((_loso_rows(ds), split_loso(ds)),
+                         (_subject_dependent_rows(ds, 4), split_subject_dependent(ds, 4))):
+        assert len(rows) == len(copies)
+        for (train_rows, test_rows), (train, test) in zip(rows, copies):
+            for idx, part in ((train_rows, train), (test_rows, test)):
+                assert np.array_equal(ds.features[idx], part.features)
+                assert np.array_equal(ds.labels[idx], part.labels)
+                assert np.array_equal(ds.subject_ids[idx], part.subject_ids)
+                assert np.array_equal(ds.trial_ids[idx], part.trial_ids)
+
+
+def test_loso_fold_rows_allocate_a_small_fraction_of_the_features():
+    # 15 subjects at the built-in montage's 62 channels, as in SEED; copying
+    # each fold's training and held-out features would take about 15 times
+    # the feature array, where the row indices take about a twentieth of it
+    ds = synthesize(SynthConfig(subjects=15, trials_per_class=1, samples_per_trial=20,
+                                n_channels=62, n_bands=5, n_classes=3, seed=3))
+    _loso_rows(ds)  # a first call imports the numpy modules that load lazily
+    tracemalloc.start()
+    try:
+        folds = _loso_rows(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(folds) == 15
+    assert peak <= 0.25 * ds.features.nbytes
+
+
 def test_loso_needs_two_subjects():
     ds = synthesize(SynthConfig(**{**BASE.__dict__, "subjects": 1}))
     with pytest.raises(ConfigError):
@@ -355,6 +442,12 @@ def test_band_select_respects_request_order():
         band_select(ds, ["gamma", "nope"])
     with pytest.raises(ConfigError):
         band_select(ds, [])
+
+
+def test_band_select_rejects_a_band_named_twice():
+    ds = synthesize(BASE)
+    with pytest.raises(ConfigError, match="^band 'alpha' is selected more than once$"):
+        band_select(ds, ["alpha", "gamma", "alpha"])
 
 
 def test_band_select_copies():

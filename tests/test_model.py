@@ -428,6 +428,23 @@ def test_chunked_predict_single_sample(shape):
     assert np.array_equal(predict(cfg, p, x), probs.argmax(axis=1))
 
 
+@pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])
+@pytest.mark.parametrize("shape", sorted(CHUNK_SHAPES))
+def test_predict_over_rows_is_bitwise_the_gathered_stack(shape, f32):
+    # rows across two chunk boundaries, out of order and repeated
+    cfg = CHUNK_SHAPES[shape]
+    p = make_params(seed=3, cfg=cfg)
+    rng = np.random.default_rng(4)
+    count = 2 * rows_per_chunk(cfg) + 5
+    x = rng.normal(scale=3.0, size=(count + 7, cfg.n_channels, cfg.in_dim))
+    if f32:
+        x = x.astype(np.float32)
+    rows = rng.choice(count + 7, size=count)
+    assert np.array_equal(predict_proba(cfg, p, x, rows=rows), predict_proba(cfg, p, x[rows]))
+    assert np.array_equal(predict(cfg, p, x, rows=rows), predict(cfg, p, x[rows]))
+    assert predict_proba(cfg, p, x, rows=rows[:0]).shape == (0, cfg.n_classes)
+
+
 def test_predict_memory_is_bounded_by_the_chunk():
     # one forward over all 2400 rows would hold two 76 MB hidden-width arrays
     cfg = CHUNK_SHAPES["n62_h64"]

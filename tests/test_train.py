@@ -92,7 +92,8 @@ def test_resolve_delta_recalibrates_absurd_geometry():
 
 
 def test_model_config_derived_from_data():
-    cfg = make_model_config(TrainConfig(hidden_dim=9, steps=3, dropout=0.5), DS)
+    cfg = make_model_config(TrainConfig(hidden_dim=9, steps=3, dropout=0.5),
+                            DS.features, DS.label_scheme)
     assert cfg.n_channels == 6 and cfg.in_dim == 3
     assert cfg.n_classes == 3 and cfg.hidden_dim == 9
     assert cfg.steps == 3 and cfg.dropout == 0.5
@@ -341,9 +342,9 @@ def _record_groups(monkeypatch):
     groups = []
     real = train_module._train_group
 
-    def recorded(jobs, cfg, layout, global_pairs, prefixes):
+    def recorded(features, jobs, cfg, layout, global_pairs, prefixes):
         groups.append([prefix.removesuffix(": ") for prefix in prefixes])
-        return real(jobs, cfg, layout, global_pairs, prefixes)
+        return real(features, jobs, cfg, layout, global_pairs, prefixes)
 
     monkeypatch.setattr(train_module, "_train_group", recorded)
     return groups
