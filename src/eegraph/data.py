@@ -28,6 +28,7 @@ MANIFEST_NAME = "manifest.json"
 FEATURES_NAME = "features.f32"
 LABELS_NAME = "labels.i64"
 MANIFEST_COUNTS = ("n_samples", "n_channels", "n_bands", "n_classes")
+SAVE_BLOCK_ELEMENTS = 1 << 16  # feature values converted and written per block
 
 
 def _band_names_for(d: int) -> list[str]:
@@ -149,12 +150,17 @@ def save_dataset(ds: FeatureDataset, path) -> None:
         "n_classes": ds.n_classes,
         "band_names": list(ds.band_names),
         "label_scheme": ds.label_scheme,
-        "subject_ids": [int(v) for v in ds.subject_ids],
-        "trial_ids": [int(v) for v in ds.trial_ids],
+        "subject_ids": ds.subject_ids.tolist(),
+        "trial_ids": ds.trial_ids.tolist(),
     }
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
-    (out / FEATURES_NAME).write_bytes(ds.features.astype("<f4").tobytes())
-    (out / LABELS_NAME).write_bytes(ds.labels.astype("<i8").tobytes())
+    # the features go out in row blocks, each converted on its own, so no
+    # float32 copy of the whole array is ever held
+    rows = max(1, SAVE_BLOCK_ELEMENTS // max(1, ds.n_channels * ds.n_bands))
+    with open(out / FEATURES_NAME, "wb") as f:
+        for start in range(0, ds.n_samples, rows):
+            np.asarray(ds.features[start : start + rows], dtype="<f4").tofile(f)
+    ds.labels.astype("<i8").tofile(out / LABELS_NAME)
 
 
 def load_dataset(path) -> FeatureDataset:
@@ -305,6 +311,12 @@ def synthesize(cfg: SynthConfig) -> FeatureDataset:
     applies a persistent random gain and offset to every feature cell.
     Label noise flips whole trials, only ever to an emotionally adjacent
     class, so each (subject, trial) group keeps a single observed label.
+
+    Each subject's generator draws its gain, its bias and then one block
+    per trial: the trial's offset followed by its sample noise rows. The
+    blocks come from one `normal` call per subject, which reads the same
+    stream as one call per offset and per sample would, so the features
+    do not depend on how the draws are batched.
     """
     scheme = cfg.resolved_scheme()
     root = np.random.SeedSequence(cfg.seed)
@@ -312,43 +324,37 @@ def synthesize(cfg: SynthConfig) -> FeatureDataset:
     means = _class_means(np.random.default_rng(means_stream), cfg)
 
     trials_total = cfg.trials_per_class * cfg.n_classes
-    per_subject = trials_total * cfg.samples_per_trial
-    n_total = cfg.subjects * per_subject
+    spt = cfg.samples_per_trial
+    cell = (cfg.n_channels, cfg.n_bands)
+    trial_classes = np.arange(trials_total) % cfg.n_classes
 
-    features = np.empty((n_total, cfg.n_channels, cfg.n_bands))
-    labels = np.empty(n_total, dtype=np.int64)
-    subject_ids = np.empty(n_total, dtype=np.int64)
-    trial_ids = np.empty(n_total, dtype=np.int64)
-
-    subj_streams = subj_root.spawn(cfg.subjects)
-    row = 0
-    for s in range(cfg.subjects):
-        rng = np.random.default_rng(subj_streams[s])
+    features = np.empty((cfg.subjects, trials_total, spt) + cell)
+    for s, stream in enumerate(subj_root.spawn(cfg.subjects)):
+        rng = np.random.default_rng(stream)
         gain = 1.0 + 0.5 * cfg.subject_shift_scale * rng.normal()
         gain = max(gain, 0.2)  # keep the class signal from collapsing or flipping
-        bias = cfg.subject_shift_scale * rng.normal(size=(cfg.n_channels, cfg.n_bands))
-        for t in range(trials_total):
-            cls = t % cfg.n_classes
-            offset = TRIAL_JITTER * rng.normal(size=(cfg.n_channels, cfg.n_bands))
-            for _ in range(cfg.samples_per_trial):
-                base = means[cls] + offset + rng.normal(size=(cfg.n_channels, cfg.n_bands))
-                features[row] = gain * base + bias
-                labels[row] = cls
-                subject_ids[row] = s
-                trial_ids[row] = t
-                row += 1
+        bias = cfg.subject_shift_scale * rng.normal(size=cell)
+        draws = rng.normal(size=(trials_total, 1 + spt) + cell)  # per trial: offset, samples
+        centers = means[trial_classes] + TRIAL_JITTER * draws[:, 0]
+        block = features[s]
+        np.add(centers[:, None], draws[:, 1:], out=block)
+        block *= gain
+        block += bias
+    features = features.reshape((-1,) + cell)
+
+    labels = np.repeat(np.tile(trial_classes, cfg.subjects), spt)
+    subject_ids = np.repeat(np.arange(cfg.subjects, dtype=np.int64), trials_total * spt)
+    trial_ids = np.tile(np.repeat(np.arange(trials_total, dtype=np.int64), spt), cfg.subjects)
 
     if cfg.label_noise_rate > 0.0:
         flips = allowed_flips(scheme)
         rng = np.random.default_rng(flip_stream)
-        groups = [(s, t) for s in range(cfg.subjects) for t in range(trials_total)]
-        k = int(round(cfg.label_noise_rate * len(groups)))
-        chosen = rng.choice(len(groups), size=k, replace=False)
-        for gi in sorted(int(i) for i in chosen):
-            s, t = groups[gi]
-            rows = np.flatnonzero((subject_ids == s) & (trial_ids == t))
-            true_cls = int(labels[rows[0]])
-            options = flips[true_cls]
+        n_groups = cfg.subjects * trials_total  # subject-major (subject, trial) groups
+        k = int(round(cfg.label_noise_rate * n_groups))
+        chosen = rng.choice(n_groups, size=k, replace=False)
+        for g in sorted(int(i) for i in chosen):
+            rows = slice(g * spt, (g + 1) * spt)
+            options = flips[int(labels[rows.start])]
             labels[rows] = options[int(rng.integers(len(options)))]
 
     return FeatureDataset(

@@ -98,10 +98,14 @@ def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
 
     `g_relu` may be broadcast over channels (a pooled gradient). The gate
     is a multiply, so a non-finite gradient at a dead unit stays NaN for
-    the optimizer's finite check (`optim.flat_directions`) to report.
+    the optimizer's finite check (`optim.flat_directions`) to report. The
+    0/1 gate is written as floats into the output, then multiplied in
+    place: one float array, no bool temporary.
     """
-    rows = g_relu.shape[-3]
-    return (trace.relu_z[..., :rows, :, :] > 0.0) * g_relu
+    relu_z = trace.relu_z[..., : g_relu.shape[-3], :, :]
+    out = np.empty(np.broadcast_shapes(relu_z.shape, g_relu.shape))
+    np.greater(relu_z, 0.0, out=out)
+    return np.multiply(out, g_relu, out=out)
 
 
 def _class_head_backward(
@@ -137,10 +141,10 @@ def _domain_head_backward(
     if params.w_dom is None:
         raise ConfigError("domain gradients requested without a domain head")
     g_dlogits = dom.probs.copy()
-    g_src, g_tgt = np.split(g_dlogits, [n_source], axis=dom.row_axis)
+    g_src, g_tgt = dom.split_rows(g_dlogits, n_source)
     g_src[..., 0] -= 1.0
     g_tgt[..., 1] -= 1.0
-    in_src, in_tgt = np.split(dom.inputs, [n_source], axis=dom.row_axis)
+    in_src, in_tgt = dom.split_rows(dom.inputs, n_source)
 
     def per_model_rows(a: np.ndarray) -> np.ndarray:
         return a.reshape(a.shape[: dom.row_axis] + (-1, a.shape[-1]))

@@ -122,14 +122,15 @@ def l1_penalty(adj: SymmetricAdjacency, alpha: float) -> float | np.ndarray:
 
     Off-diagonal parameters count twice so the penalty depends on the
     matrix, not on the packed storage choice; the sum is read from the
-    packed triangle, one per model when it carries a model axis.
+    packed triangle, one per model when it carries a model axis. The
+    diagonal is gathered with `take`, which keeps each model's row
+    contiguous, so a stacked row sums in the same order as a lone model.
     """
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     mags = np.abs(adj.upper)
-    return _per_model(
-        alpha * (2.0 * mags.sum(axis=-1) - mags[..., diagonal_positions(adj.n)].sum(axis=-1))
-    )
+    diag = np.take(mags, diagonal_positions(adj.n), axis=-1)
+    return _per_model(alpha * (2.0 * mags.sum(axis=-1) - diag.sum(axis=-1)))
 
 
 def domain_loss(

@@ -362,9 +362,7 @@ def _train_group(
                 if cfg.uses_domain:
                     beta = float(grl_beta(done_batches / total_batches))
                     domain = domain_forward(stacked, trace, cfg.domain_level)
-                    dom_src, dom_tgt = np.split(
-                        domain.log_probs, [idx.shape[1]], axis=domain.row_axis
-                    )
+                    dom_src, dom_tgt = domain.split_rows(domain.log_probs, idx.shape[1])
                     dom = domain_loss(dom_src, dom_tgt, log=True, per_model=True)
 
                 bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))

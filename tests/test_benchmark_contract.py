@@ -6,7 +6,8 @@ trainer change that rebinds or renames a traced function can break the
 benchmark while every unit test passes. An untraced run checks that
 every fold checkpoint reloads and scores what `report.json` says on
 perfbench's own copied LOSO folds, and that repeated runs write the same
-report; those checks read the data path that folds and bundles take.
+report; those checks read the data path that folds and bundles take. A
+traced run must also time the bundle's synthesis and write.
 """
 import json
 import subprocess
@@ -28,4 +29,10 @@ def test_tiny_run_is_accepted(tmp_path, workload, trace):
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    if trace:
+        # `eegraph synth` reaches the data path through the names perfbench
+        # wraps in eegraph.cli; a rebinding there would hide setup from it
+        for name in ("data.synthesize_s", "data.save_dataset_s"):
+            assert result["metrics"][name]["value"] > 0, name

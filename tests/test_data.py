@@ -5,13 +5,17 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
+import eegraph.data as data_module
 from eegraph.data import (
     DEFAULT_BANDS,
+    TRIAL_JITTER,
     FeatureDataset,
     SynthConfig,
     UnlabeledSet,
+    _band_names_for,
+    _class_means,
     _loso_rows,
     _subject_dependent_rows,
     band_select,
@@ -128,6 +132,59 @@ def test_label_noise_zero_is_clean():
     assert np.array_equal(ds.labels, ds.trial_ids % 3)
 
 
+def _synthesize_per_sample(cfg: SynthConfig) -> FeatureDataset:
+    """The generator as one `normal` call per offset and per sample: the oracle."""
+    scheme = cfg.resolved_scheme()
+    means_stream, subj_root, flip_stream = np.random.SeedSequence(cfg.seed).spawn(3)
+    means = _class_means(np.random.default_rng(means_stream), cfg)
+    trials_total = cfg.trials_per_class * cfg.n_classes
+    n_total = cfg.subjects * trials_total * cfg.samples_per_trial
+    features = np.empty((n_total, cfg.n_channels, cfg.n_bands))
+    labels, subject_ids, trial_ids = (np.empty(n_total, dtype=np.int64) for _ in range(3))
+    row = 0
+    for s, stream in enumerate(subj_root.spawn(cfg.subjects)):
+        rng = np.random.default_rng(stream)
+        gain = max(1.0 + 0.5 * cfg.subject_shift_scale * rng.normal(), 0.2)
+        bias = cfg.subject_shift_scale * rng.normal(size=(cfg.n_channels, cfg.n_bands))
+        for t in range(trials_total):
+            cls = t % cfg.n_classes
+            offset = TRIAL_JITTER * rng.normal(size=(cfg.n_channels, cfg.n_bands))
+            for _ in range(cfg.samples_per_trial):
+                base = means[cls] + offset + rng.normal(size=(cfg.n_channels, cfg.n_bands))
+                features[row] = gain * base + bias
+                labels[row], subject_ids[row], trial_ids[row] = cls, s, t
+                row += 1
+    if cfg.label_noise_rate > 0.0:
+        flips = allowed_flips(scheme)
+        rng = np.random.default_rng(flip_stream)
+        groups = [(s, t) for s in range(cfg.subjects) for t in range(trials_total)]
+        k = int(round(cfg.label_noise_rate * len(groups)))
+        for gi in sorted(int(i) for i in rng.choice(len(groups), size=k, replace=False)):
+            s, t = groups[gi]
+            rows = np.flatnonzero((subject_ids == s) & (trial_ids == t))
+            options = flips[int(labels[rows[0]])]
+            labels[rows] = options[int(rng.integers(len(options)))]
+    return FeatureDataset(features, labels, subject_ids, trial_ids,
+                          _band_names_for(cfg.n_bands), scheme)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(subjects=st.integers(1, 3), trials_per_class=st.integers(1, 3),
+       samples_per_trial=st.sampled_from([1, 2, 5]), n_channels=st.sampled_from([4, 9, 62]),
+       n_bands=st.integers(1, 5), n_classes=st.integers(2, 5),
+       generic_scheme=st.booleans(), label_noise_rate=st.sampled_from([0.0, 0.3, 1.0]),
+       subject_shift_scale=st.sampled_from([0.0, 0.5, 3.0]), seed=st.integers(0, 2**32))
+def test_synthesize_is_bitwise_the_per_sample_draws(generic_scheme, **knobs):
+    cfg = SynthConfig(**knobs, label_scheme=knobs["n_classes"] if generic_scheme else None)
+    assume(cfg.n_classes <= informative_channels(cfg.n_channels).size * cfg.n_bands)
+    got, want = synthesize(cfg), _synthesize_per_sample(cfg)
+    assert got.features.tobytes() == want.features.tobytes()
+    for name in ("labels", "subject_ids", "trial_ids"):
+        assert getattr(got, name).dtype == np.int64
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.band_names, got.label_scheme) == (want.band_names, want.label_scheme)
+
+
 def test_dataset_validation():
     ds = synthesize(BASE)
     bad = ds.labels.copy()
@@ -235,6 +292,37 @@ def test_bundle_files_present(tmp_path):
     assert man["n_channels"] == 6
     assert (out / "features.f32").stat().st_size == ds.n_samples * 6 * 5 * 4
     assert (out / "labels.i64").stat().st_size == ds.n_samples * 8
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("block", [1, 7, 300, 1 << 16])
+def test_feature_blob_is_the_whole_array_as_little_endian_float32(tmp_path, monkeypatch,
+                                                                  dtype, block):
+    # the blob is written in row blocks; neither their size nor a ragged last
+    # block may show in the bytes
+    monkeypatch.setattr(data_module, "SAVE_BLOCK_ELEMENTS", block)
+    ds = synthesize(BASE)
+    ds = FeatureDataset(ds.features.astype(dtype), ds.labels, ds.subject_ids, ds.trial_ids,
+                        ds.band_names, ds.label_scheme)
+    save_dataset(ds, tmp_path)
+    assert (tmp_path / "features.f32").read_bytes() == ds.features.astype("<f4").tobytes()
+    assert (tmp_path / "labels.i64").read_bytes() == ds.labels.astype("<i8").tobytes()
+    assert load_dataset(tmp_path).features.tobytes() == ds.features.astype(np.float32).tobytes()
+
+
+def test_save_allocates_a_small_fraction_of_the_feature_blob(tmp_path):
+    # 6 subjects x 62 channels x 5 bands, 8.9 MB of float32: the blocks and the
+    # manifest's id lists are all save_dataset holds, never a whole-array copy
+    ds = synthesize(SynthConfig(subjects=6, trials_per_class=4, samples_per_trial=100,
+                                n_channels=62, n_bands=5, n_classes=3, seed=1))
+    save_dataset(ds, tmp_path / "warm")  # numpy and json import lazily on a first call
+    tracemalloc.start()
+    try:
+        save_dataset(ds, tmp_path / "bundle")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * (tmp_path / "bundle" / "features.f32").stat().st_size
 
 
 def test_truncated_features_detected(tmp_path):

@@ -1,8 +1,12 @@
 """Analytic backward passes against central differences."""
 from dataclasses import replace
+from types import SimpleNamespace
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eegraph.electrodes import ring_layout
 from eegraph.errors import ConfigError
@@ -13,6 +17,7 @@ from eegraph.graph import (
     propagate,
 )
 from eegraph.gradients import (
+    _relu_gate,
     class_backward,
     domain_backward,
     grad_check,
@@ -509,3 +514,22 @@ def test_backward_reads_the_unpacked_adjacency_from_the_trace(monkeypatch):
     targets = convert_labels(np.array([0, 1, 2]), "seed3", 0.2)
     step_directions(CFG, params, tr, targets, 0.01, domain_forward(params, tr, "node"), 0.5)
     assert len(unpacks) == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data(), models=st.sampled_from([(), (2,)]), rows=st.integers(1, 4),
+       extra=st.integers(0, 2), n=st.integers(1, 3), pooled=st.booleans())
+def test_relu_gate_is_bitwise_the_masked_product(data, models, rows, extra, n, pooled):
+    # the trace may hold target rows past the gradient's; a pooled gradient
+    # broadcasts over channels; dead units keep -0.0 and NaN exactly
+    h = 3
+    relu_z = data.draw(hnp.arrays(np.float64, models + (rows + extra, n, h),
+                                  elements=st.sampled_from([0.0, 0.5, 2.0])))
+    special = st.sampled_from([np.nan, 0.0, -0.0, np.inf, -np.inf])
+    values = st.floats(-3, 3, allow_nan=False) | special
+    g = data.draw(hnp.arrays(np.float64, models + (rows, 1 if pooled else n, h), elements=values))
+    with np.errstate(invalid="ignore"):  # 0 * inf at a dead unit, as in training
+        got = _relu_gate(SimpleNamespace(relu_z=relu_z), g)
+        want = (relu_z[..., :rows, :, :] > 0.0) * g
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

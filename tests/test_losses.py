@@ -255,6 +255,17 @@ def test_losses_keep_a_leading_model_axis():
         assert l1[i] == l1_penalty(SymmetricAdjacency(4, upper[i]), 0.3)
 
 
+@pytest.mark.parametrize("n", [9, 62])
+def test_stacked_l1_matches_each_model_alone_bitwise(n):
+    # the stacked diagonal must sum in each lone model's order; a column-major
+    # gather adds it left to right, which moves the last bit of some rows
+    upper = np.random.default_rng(n).normal(size=(40, n * (n + 1) // 2))
+    l1 = l1_penalty(SymmetricAdjacency(n, upper), 0.01)
+    assert [l1[i] for i in range(40)] == [
+        l1_penalty(SymmetricAdjacency(n, row.copy()), 0.01) for row in upper
+    ]
+
+
 def test_l1_counts_mirrored_entries_twice():
     adj = SymmetricAdjacency.from_full(np.array([[1.0, -0.5], [-0.5, 1.0]]))
     # |1| + |-0.5| + |-0.5| + |1| = 3

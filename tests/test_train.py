@@ -312,20 +312,30 @@ def _checkpoint_bytes(result, path):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("variant", [
-    dict(node_dat=True),
-    dict(dat_graph_level=True),
-    dict(emotion_dl=True, epsilon=0.4),
-    dict(node_dat=True, emotion_dl=True, epsilon=0.4, dropout=0.3),
-    dict(weight_decay=0.05),
-], ids=["node_dat", "dat_graph_level", "emotion_dl", "dropout", "weight_decay"])
-def test_lockstep_group_matches_separate_runs_bitwise(tmp_path, variant):
+# 62 channels, where sums over a channel-sized axis run past numpy's 8-wide
+# pairwise blocks; at batch 2 and hidden 4 all three folds share one group
+WIDE_DS = synthesize(SynthConfig(subjects=3, trials_per_class=1, samples_per_trial=4,
+                                 n_channels=62, n_bands=5, n_classes=3,
+                                 subject_shift_scale=0.5, seed=5))
+
+
+@pytest.mark.parametrize("ds, variant", [
+    pytest.param(GATE_DS, dict(node_dat=True), id="node_dat"),
+    pytest.param(GATE_DS, dict(dat_graph_level=True), id="dat_graph_level"),
+    pytest.param(GATE_DS, dict(emotion_dl=True, epsilon=0.4), id="emotion_dl"),
+    pytest.param(GATE_DS, dict(node_dat=True, emotion_dl=True, epsilon=0.4, dropout=0.3),
+                 id="dropout"),
+    pytest.param(GATE_DS, dict(weight_decay=0.05), id="weight_decay"),
+    pytest.param(WIDE_DS, dict(batch_size=2, hidden_dim=4, alpha=0.05), id="62_channels"),
+])
+def test_lockstep_group_matches_separate_runs_bitwise(tmp_path, ds, variant):
     from eegraph.data import split_loso
-    from eegraph.train import train_lockstep
+    from eegraph.train import _group_size, train_lockstep
 
     cfg = TrainConfig(**{**GATE, **variant})
     jobs = [(fold_train, fold_test.unlabeled() if cfg.uses_domain else None)
-            for fold_train, fold_test in split_loso(GATE_DS)]
+            for fold_train, fold_test in split_loso(ds)]
+    assert _group_size(cfg, ds.n_channels) >= len(jobs)
     grouped = train_lockstep(jobs, cfg)
     assert len(grouped) == len(jobs)
     for i, ((fold_train, target), got) in enumerate(zip(jobs, grouped)):
