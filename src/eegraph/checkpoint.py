@@ -94,6 +94,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     Path(path).write_bytes(bytes(blob))
 
 
+def _strings(value) -> bool:
+    """Whether a header value is a JSON list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_checkpoint(path) -> Checkpoint:
     p = Path(path)
     if not p.is_file():
@@ -151,9 +156,16 @@ def load_checkpoint(path) -> Checkpoint:
 
     names = header.get("channel_names")
     pairs = header.get("global_pairs")
+    if not (names is None or _strings(names) and len(names) == cfg.n_channels):
+        raise CorruptBundleError(
+            f"{p}: channel_names must be null or a list of {cfg.n_channels} strings"
+        )
+    if not (pairs is None
+            or isinstance(pairs, list) and all(_strings(q) and len(q) == 2 for q in pairs)):
+        raise CorruptBundleError(f"{p}: global_pairs must be null or a list of two-string lists")
     return Checkpoint(
         cfg=cfg,
         params=params,
-        channel_names=list(names) if names else None,
+        channel_names=names,
         global_pairs=[tuple(q) for q in pairs] if pairs else None,
     )

@@ -6,7 +6,9 @@ band). Bundles store float32 on disk and stay float32 in memory; the
 model widens each batch to float64 as it reads it, which is exact.
 The split protocols describe each fold as two row-index arrays into the
 one dataset (training rows, held-out rows), so a run holds one feature
-array however many folds it has.
+array however many folds it has; `split_loso` copies the LOSO folds out
+as datasets for callers outside training. A target domain is a dataset
+too: training reads only its features.
 The generator builds class-separated Gaussian features with persistent
 per-subject distortions, which is exactly the structure the domain and
 label regularizers are supposed to exploit.
@@ -37,14 +39,6 @@ def _band_names_for(d: int) -> list[str]:
     return [f"band{i}" for i in range(d)]
 
 
-def _feature_array(features) -> np.ndarray:
-    """The features as given when float32 or float64; any other dtype widens to float64."""
-    features = np.asarray(features)
-    if features.dtype not in (np.float32, np.float64):
-        features = features.astype(np.float64)
-    return features
-
-
 @dataclass
 class FeatureDataset:
     """In-memory dataset of per-channel band features with group metadata."""
@@ -57,7 +51,9 @@ class FeatureDataset:
     label_scheme: str | int = "seed3"
 
     def __post_init__(self):
-        self.features = _feature_array(self.features)
+        self.features = np.asarray(self.features)
+        if self.features.dtype not in (np.float32, np.float64):
+            self.features = self.features.astype(np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.subject_ids = np.asarray(self.subject_ids, dtype=np.int64)
         self.trial_ids = np.asarray(self.trial_ids, dtype=np.int64)
@@ -116,26 +112,6 @@ class FeatureDataset:
             label_scheme=self.label_scheme,
         )
 
-    def unlabeled(self) -> "UnlabeledSet":
-        """Features-only view handed to training as the target domain."""
-        return UnlabeledSet(features=self.features.copy())
-
-
-@dataclass
-class UnlabeledSet:
-    """Target-domain features with the labels structurally removed."""
-
-    features: np.ndarray  # (N, channels, bands) float32 or float64, kept as given
-
-    def __post_init__(self):
-        self.features = _feature_array(self.features)
-        if self.features.ndim != 3:
-            raise ConfigError(f"features must be (samples, channels, bands), got {self.features.shape}")
-
-    @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
 
 # --- disk bundles ----------------------------------------------------------
 
@@ -173,17 +149,28 @@ def load_dataset(path) -> FeatureDataset:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise CorruptBundleError(f"{mpath}: invalid JSON ({exc})") from None
+    # each list field's JSON element type, taken as written: a bool, a float
+    # or a numeric string is not an id, and a string is not a list of names
+    list_types = {"band_names": (str, "strings"), "subject_ids": (int, "integers"),
+                  "trial_ids": (int, "integers")}
     try:
         counts = [manifest[name] for name in MANIFEST_COUNTS]
-        band_names = list(manifest["band_names"])
+        lists = {name: manifest[name] for name in list_types}
         scheme = manifest["label_scheme"]
-        subject_ids = np.array(manifest["subject_ids"], dtype=np.int64)
-        trial_ids = np.array(manifest["trial_ids"], dtype=np.int64)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CorruptBundleError(f"{mpath}: bad manifest field ({exc})") from None
     for name, value in zip(MANIFEST_COUNTS, counts):
         if isinstance(value, bool) or not isinstance(value, int):
             raise CorruptBundleError(f"{mpath}: {name} must be a JSON integer, got {value!r}")
+    for name, (kind, word) in list_types.items():
+        # one pass over the list, by exact type, so a bool is not an int
+        if not isinstance(lists[name], list) or not set(map(type, lists[name])) <= {kind}:
+            raise CorruptBundleError(f"{mpath}: {name} must be a list of JSON {word}")
+    try:
+        subject_ids = np.array(lists["subject_ids"], dtype=np.int64)
+        trial_ids = np.array(lists["trial_ids"], dtype=np.int64)
+    except OverflowError as exc:
+        raise CorruptBundleError(f"{mpath}: bad manifest field ({exc})") from None
     n, channels, bands, c = counts
     if isinstance(scheme, bool) or not isinstance(scheme, (str, int)):
         raise CorruptBundleError(f"{mpath}: label_scheme must be a name or class count")
@@ -220,7 +207,7 @@ def load_dataset(path) -> FeatureDataset:
             labels=labels,
             subject_ids=subject_ids,
             trial_ids=trial_ids,
-            band_names=band_names,
+            band_names=lists["band_names"],
             label_scheme=scheme,
         )
     except ConfigError as exc:
@@ -399,11 +386,6 @@ def _loso_rows(ds: FeatureDataset) -> list[Fold]:
         test_mask = ds.subject_ids == s
         folds.append((np.flatnonzero(~test_mask), np.flatnonzero(test_mask)))
     return folds
-
-
-def split_subject_dependent(ds: FeatureDataset, train_trials: int) -> list[tuple[FeatureDataset, FeatureDataset]]:
-    """Per subject: the first `train_trials` trials train, the rest test."""
-    return [(ds.take(tr), ds.take(te)) for tr, te in _subject_dependent_rows(ds, train_trials)]
 
 
 def split_loso(ds: FeatureDataset) -> list[tuple[FeatureDataset, FeatureDataset]]:

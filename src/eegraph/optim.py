@@ -5,7 +5,7 @@ directions laid out like it (`flat_directions`) and moment vectors shaped
 like it (`adam_update`). A set stacked over a leading model axis has a
 (k, P) matrix for `flat`; one update then steps every row, bitwise as
 the one-model step of that row would, with one step counter for the
-group. `adam_step` is the one-model composition of the two halves.
+group; a single model is the one-row case of the same two calls.
 Decay touches only the dense transforms, the tail of each row after the
 packed adjacency; the adjacency's shrinkage comes from its own sparsity
 penalty, so decaying it too would double-regularize.
@@ -102,13 +102,3 @@ def adam_update(state: AdamState, params: ParamSet, g: np.ndarray) -> None:
     # eps = 0 with an untouched coordinate gives 0/0; the step is 0 there
     delta = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
     p -= cfg.lr * delta
-
-
-def adam_step(state: AdamState, params: ParamSet, directions: GradientSet) -> tuple[ParamSet, AdamState]:
-    """Advance the parameter vector one Adam step along the directions.
-
-    Mutates params and state in place and returns them; a non-finite
-    direction raises before anything moves.
-    """
-    adam_update(state, params, flat_directions(params, directions))
-    return params, state

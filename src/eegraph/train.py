@@ -16,12 +16,12 @@ same size train in lockstep: their parameters are the rows of one
 one `np.take`, the target rows with another, and runs one forward, one
 backward and one Adam update over a leading model axis. Per-epoch
 training accuracy runs `predict` per model over its rows, one chunk
-gathered at a time. `train` and `train_lockstep` take datasets: their
-arrays are concatenated once and the jobs become rows of the result.
-Runs are bit-reproducible, and a model's result does not depend on the
-group it trained in: every random draw comes from a child stream of the
-run seed, one set per model, and the same children are spawned whether
-or not the domain path is active.
+gathered at a time. `train` takes datasets: it makes them one job over
+the training features, with the target's features concatenated behind
+them when the domain path is on. Runs are bit-reproducible, and a
+model's result does not depend on the group it trained in: every random
+draw comes from a child stream of the run seed, one set per model, and
+the same children are spawned whether or not the domain path is active.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureDataset, UnlabeledSet, resample_target
+from .data import FeatureDataset, resample_target
 from .electrodes import (
     DELTA_DEFAULT,
     ElectrodeLayout,
@@ -172,7 +172,7 @@ class IndexedJob:
 
 def train(
     train_ds: FeatureDataset,
-    target: UnlabeledSet | FeatureDataset | None,
+    target: FeatureDataset | None,
     cfg: TrainConfig,
     *,
     layout: ElectrodeLayout | None = None,
@@ -180,56 +180,22 @@ def train(
 ) -> TrainResult:
     """Run the full optimization and return parameters plus history.
 
-    `target` supplies unlabeled target-domain features for the domain
-    path; of a labeled dataset passed here only the features are read.
+    `target` supplies target-domain features for the domain path; only
+    its features are read. The one job holds the training rows and, when
+    the domain path is on, the target's rows concatenated behind them.
     """
-    return train_lockstep([(train_ds, target)], cfg, layout=layout, global_pairs=global_pairs)[0]
-
-
-def train_lockstep(
-    jobs: list[tuple[FeatureDataset, UnlabeledSet | FeatureDataset | None]],
-    cfg: TrainConfig,
-    *,
-    layout: ElectrodeLayout | None = None,
-    global_pairs: GlobalPairSet | None = None,
-    names: list[str] | None = None,
-) -> list[TrainResult]:
-    """Train one model per (train set, target) job; results in job order.
-
-    The jobs' feature arrays (and their targets', when the domain path is
-    on) are concatenated once per (channels, bands) shape, and each job
-    becomes rows of that array for `train_indexed`. Each model's result
-    is bitwise that of `train` on its own job. `names` label the models
-    in a `DivergenceError` (e.g. the fold each one belongs to).
-    """
-    by_cells: dict[tuple, list[int]] = {}
-    for i, (ds, _) in enumerate(jobs):
-        by_cells.setdefault(ds.features.shape[1:], []).append(i)
-    results: list[TrainResult] = [None] * len(jobs)
-    for same in by_cells.values():
-        arrays, indexed, start = [], [], 0
-        for i in same:
-            ds, target = jobs[i]
-            arrays.append(ds.features)
-            rows = np.arange(start, start + ds.n_samples)
-            start += ds.n_samples
-            target_rows = None
-            if cfg.uses_domain and target is not None:
-                if target.features.shape[1:] != ds.features.shape[1:]:
-                    raise ConfigError(
-                        f"target feature shape {target.features.shape[1:]} does not match "
-                        f"source {ds.features.shape[1:]}"
-                    )
-                arrays.append(target.features)
-                target_rows = np.arange(start, start + target.n_samples)
-                start += target.n_samples
-            indexed.append(IndexedJob(rows, ds.labels, ds.label_scheme, target_rows))
-        trained = train_indexed(np.concatenate(arrays), indexed, cfg, layout=layout,
-                                global_pairs=global_pairs,
-                                names=[names[i] for i in same] if names else None)
-        for i, result in zip(same, trained):
-            results[i] = result
-    return results
+    features, target_rows = train_ds.features, None
+    if cfg.uses_domain and target is not None:
+        if target.features.shape[1:] != features.shape[1:]:
+            raise ConfigError(
+                f"target feature shape {target.features.shape[1:]} does not match "
+                f"source {features.shape[1:]}"
+            )
+        features = np.concatenate([features, target.features])
+        target_rows = np.arange(train_ds.n_samples, len(features))
+    job = IndexedJob(np.arange(train_ds.n_samples), train_ds.labels, train_ds.label_scheme,
+                     target_rows)
+    return train_indexed(features, [job], cfg, layout=layout, global_pairs=global_pairs)[0]
 
 
 def train_indexed(

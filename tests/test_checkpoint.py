@@ -63,7 +63,7 @@ def test_array_block_absurd_rank():
 
 
 def test_round_trip_minimal(tmp_path):
-    ck = sample_ckpt(domain_head=False)
+    ck = Checkpoint(cfg=CFG, params=sample_ckpt(domain_head=False).params)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ck)
     back = load_checkpoint(path)
@@ -72,6 +72,7 @@ def test_round_trip_minimal(tmp_path):
     assert np.array_equal(back.params.w_feat, ck.params.w_feat)
     assert np.array_equal(back.params.w_class, ck.params.w_class)
     assert back.params.w_dom is None
+    assert back.channel_names is None and back.global_pairs is None
 
 
 def test_round_trip_full(tmp_path):
@@ -224,3 +225,28 @@ def test_header_accepts_an_integral_dropout(tmp_path):
     save_checkpoint(path, ckpt)
     _rewrite_header(path, lambda doc: doc["model"].update(dropout=0))
     assert load_checkpoint(path).cfg.dropout == 0
+
+
+@pytest.mark.parametrize("names", [
+    "ABCDE", ["E0", "E1", "E2", "E3"], ["E0", "E1", "E2", "E3", 4], {"E0": 0}, [],
+], ids=["string", "too_few", "number", "object", "empty"])
+def test_channel_names_must_be_a_list_of_n_channel_strings(tmp_path, names):
+    # a string once loaded as one name per character
+    path = tmp_path / "names.ckpt"
+    save_checkpoint(path, sample_ckpt())
+    _rewrite_header(path, lambda doc: doc.update(channel_names=names))
+    with pytest.raises(CorruptBundleError, match="names.ckpt: channel_names must be null or "
+                                                 "a list of 5 strings"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("pairs", [
+    [["E0", "E4", "E2"]], [["E0"]], [["E0", 4]], ["E0E4"], [{"E0": "E4"}], "E0E4",
+], ids=["three_names", "one_name", "number", "string_pair", "object_pair", "string"])
+def test_global_pairs_must_be_two_string_lists(tmp_path, pairs):
+    path = tmp_path / "pairs.ckpt"
+    save_checkpoint(path, sample_ckpt())
+    _rewrite_header(path, lambda doc: doc.update(global_pairs=pairs))
+    with pytest.raises(CorruptBundleError, match="pairs.ckpt: global_pairs must be null or "
+                                                 "a list of two-string lists"):
+        load_checkpoint(path)

@@ -336,6 +336,30 @@ def test_inspect_rejects_a_header_that_is_not_an_object(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, flags", [
+    ({"global_pairs": [["E0", "E3", "E2"]]}, ["--exclude-global"]),
+    ({"channel_names": "WXYZ"}, []),
+], ids=["three_name_pair", "string_names"])
+def test_inspect_rejects_malformed_header_names(tmp_path, capsys, edit, flags):
+    # a three-name pair once stopped --exclude-global with a traceback, and
+    # a string of names once read as one name per character
+    from eegraph.checkpoint import Checkpoint, save_checkpoint
+    from eegraph.electrodes import ring_layout
+    from eegraph.model import init_params
+    from eegraph.params import ModelConfig
+
+    cfg = ModelConfig(n_channels=4, in_dim=3, hidden_dim=4, n_classes=3, steps=2)
+    path = tmp_path / "named.ckpt"
+    params = init_params(cfg, ring_layout(4), 0)
+    save_checkpoint(path, Checkpoint(cfg=cfg, params=params,
+                                     channel_names=["E0", "E1", "E2", "E3"],
+                                     global_pairs=[("E0", "E3")]))
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(head), **edit}).encode() + b"\n" + body)
+    assert main(["inspect", "--checkpoint", str(path), "--top-k", "2", *flags]) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_inspect_rejects_oversized_k(bundle, tmp_path, capsys):
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps(TRAIN_DOC))

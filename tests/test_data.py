@@ -13,7 +13,6 @@ from eegraph.data import (
     TRIAL_JITTER,
     FeatureDataset,
     SynthConfig,
-    UnlabeledSet,
     _band_names_for,
     _class_means,
     _loso_rows,
@@ -24,7 +23,6 @@ from eegraph.data import (
     resample_target,
     save_dataset,
     split_loso,
-    split_subject_dependent,
     synthesize,
 )
 from eegraph.errors import ConfigError, CorruptBundleError
@@ -248,20 +246,15 @@ def test_feature_dtype_is_kept_or_widened(dtype, kept):
     got = FeatureDataset(features, ds.labels, ds.subject_ids, ds.trial_ids,
                          ds.band_names, ds.label_scheme)
     assert got.features.dtype == kept
-    assert UnlabeledSet(features).features.dtype == kept
     assert np.array_equal(got.features, features.astype(np.float64))
 
 
-def test_take_and_unlabeled():
+def test_take_copies():
     ds = synthesize(BASE)
     sub = ds.take(np.arange(5))
     assert sub.n_samples == 5
     assert np.array_equal(sub.features, ds.features[:5])
     sub.features[0, 0, 0] = 1e9
-    assert ds.features[0, 0, 0] != 1e9
-    u = ds.unlabeled()
-    assert u.n_samples == ds.n_samples
-    u.features[0, 0, 0] = 1e9
     assert ds.features[0, 0, 0] != 1e9
 
 
@@ -403,6 +396,51 @@ def test_manifest_ids_one_short_names_the_bundle(tmp_path):
         load_dataset(out)
 
 
+@pytest.mark.parametrize("field", ["subject_ids", "trial_ids"])
+@pytest.mark.parametrize("retype", [
+    lambda ids: [float(v) + 0.7 for v in ids],
+    lambda ids: [str(v) for v in ids],
+    lambda ids: [bool(v) for v in ids],
+    lambda ids: ids[:-1] + [float(ids[-1])],
+    lambda ids: {"ids": ids},
+], ids=["float", "str", "bool", "one_float", "object"])
+def test_manifest_ids_must_be_lists_of_json_ints(tmp_path, field, retype):
+    # each of these once coerced to int64 ids (0.7 -> 0, "3" -> 3) and loaded
+    ds = synthesize(BASE)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    man = json.loads((out / "manifest.json").read_text())
+    man[field] = retype(man[field])
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(CorruptBundleError, match=f"{field} must be a list of JSON integers"):
+        load_dataset(out)
+
+
+@pytest.mark.parametrize("names", ["abcde", [1, 2, 3, 4, 5], ["a", "b", "c", "d", None]],
+                         ids=["string", "ints", "one_null"])
+def test_manifest_band_names_must_be_a_list_of_strings(tmp_path, names):
+    # a string once loaded as one band per character, and numbers as names
+    ds = synthesize(BASE)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    man = json.loads((out / "manifest.json").read_text())
+    man["band_names"] = names
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(CorruptBundleError, match="band_names must be a list of JSON strings"):
+        load_dataset(out)
+
+
+def test_manifest_id_beyond_int64_is_a_corrupt_bundle(tmp_path):
+    ds = synthesize(BASE)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    man = json.loads((out / "manifest.json").read_text())
+    man["trial_ids"][0] = 2**63
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(CorruptBundleError, match="manifest.json"):
+        load_dataset(out)
+
+
 def test_out_of_scheme_label_names_the_bundle(tmp_path):
     ds = synthesize(BASE)
     assert ds.label_scheme == "seed3"
@@ -454,7 +492,7 @@ def test_hand_written_fixture_truncation(tmp_path):
 
 def test_subject_dependent_split():
     ds = synthesize(BASE)  # 6 trials per subject
-    folds = split_subject_dependent(ds, 4)
+    folds = [(ds.take(tr), ds.take(te)) for tr, te in _subject_dependent_rows(ds, 4)]
     assert len(folds) == 3
     for s, (train, test) in enumerate(folds):
         assert set(train.subject_ids.tolist()) == {s}
@@ -467,11 +505,11 @@ def test_subject_dependent_split():
 def test_subject_dependent_split_errors():
     ds = synthesize(BASE)
     with pytest.raises(ConfigError):
-        split_subject_dependent(ds, 6)  # nothing left to test
+        _subject_dependent_rows(ds, 6)  # nothing left to test
     with pytest.raises(ConfigError):
-        split_subject_dependent(ds, 7)
+        _subject_dependent_rows(ds, 7)
     with pytest.raises(ConfigError):
-        split_subject_dependent(ds, 0)
+        _subject_dependent_rows(ds, 0)
 
 
 def test_loso_split():
@@ -486,15 +524,14 @@ def test_loso_split():
 
 def test_fold_rows_match_the_copied_splits():
     ds = synthesize(BASE)
-    for rows, copies in ((_loso_rows(ds), split_loso(ds)),
-                         (_subject_dependent_rows(ds, 4), split_subject_dependent(ds, 4))):
-        assert len(rows) == len(copies)
-        for (train_rows, test_rows), (train, test) in zip(rows, copies):
-            for idx, part in ((train_rows, train), (test_rows, test)):
-                assert np.array_equal(ds.features[idx], part.features)
-                assert np.array_equal(ds.labels[idx], part.labels)
-                assert np.array_equal(ds.subject_ids[idx], part.subject_ids)
-                assert np.array_equal(ds.trial_ids[idx], part.trial_ids)
+    rows, copies = _loso_rows(ds), split_loso(ds)
+    assert len(rows) == len(copies)
+    for (train_rows, test_rows), (train, test) in zip(rows, copies):
+        for idx, part in ((train_rows, train), (test_rows, test)):
+            assert np.array_equal(ds.features[idx], part.features)
+            assert np.array_equal(ds.labels[idx], part.labels)
+            assert np.array_equal(ds.subject_ids[idx], part.subject_ids)
+            assert np.array_equal(ds.trial_ids[idx], part.trial_ids)
 
 
 def test_loso_fold_rows_allocate_a_small_fraction_of_the_features():

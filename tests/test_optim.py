@@ -9,7 +9,7 @@ from eegraph.errors import ConfigError, DivergenceError
 from eegraph.gradients import l1_subgradient
 from eegraph.graph import SymmetricAdjacency
 from eegraph.model import init_params
-from eegraph.optim import AdamConfig, AdamState, adam_step, adam_update, flat_directions
+from eegraph.optim import AdamConfig, AdamState, adam_update, flat_directions
 from eegraph.params import TENSOR_ORDER, GradientSet, ModelConfig, ParamSet
 
 CFG = ModelConfig(n_channels=4, in_dim=3, hidden_dim=3, n_classes=2, steps=1)
@@ -34,6 +34,11 @@ def grad_like(params, fill=0.0, rng=None):
         else:
             arr += fill
     return g
+
+
+def one_step(state, params, directions):
+    """The one-model Adam step: the directions laid out flat, then one update."""
+    adam_update(state, params, flat_directions(params, directions))
 
 
 def test_config_validation():
@@ -66,7 +71,7 @@ def test_sign_descent_mode():
     state = AdamState.for_params(params, AdamConfig(lr=0.05, beta1=0.0, beta2=0.0, eps=0.0))
     rng = np.random.default_rng(2)
     g = grad_like(params, rng=rng)
-    adam_step(state, params, g)
+    one_step(state, params, g)
     for name, arr in params.tensors().items():
         assert np.allclose(arr, before[name] - 0.05 * np.sign(g.tensors()[name]), atol=1e-12)
 
@@ -78,7 +83,7 @@ def test_first_step_scalar_value():
     g = grad_like(params, fill=0.0)
     g.w_feat[0, 0] = 2.0
     before = params.w_feat[0, 0]
-    adam_step(state, params, g)
+    one_step(state, params, g)
     # bias correction makes the first step lr * g / (|g| + eps)
     expect = before - cfg.lr * 2.0 / (2.0 + cfg.eps)
     assert params.w_feat[0, 0] == pytest.approx(expect, rel=1e-12)
@@ -94,7 +99,7 @@ def test_moment_recursion_two_steps():
     for g in (g1, g2):
         d = grad_like(params, fill=0.0)
         d.w_class[0, 0] = g
-        adam_step(state, params, d)
+        one_step(state, params, d)
     m = 0.9 * (0.1 * g1) + 0.1 * g2
     v = 0.99 * (0.01 * g1 * g1) + 0.01 * g2 * g2
     m1_hat = (0.1 * g1) / (1 - 0.9)
@@ -109,7 +114,7 @@ def test_weight_decay_skips_adjacency():
     before = {k: v.copy() for k, v in params.tensors().items()}
     cfg = AdamConfig(lr=0.1, weight_decay=0.5)
     state = AdamState.for_params(params, cfg)
-    adam_step(state, params, grad_like(params, fill=0.0))
+    one_step(state, params, grad_like(params, fill=0.0))
     # zero directions: moments stay zero, so only the decay moves anything
     assert np.array_equal(params.adj.upper, before["adj"])
     for name in ("w_feat", "w_class", "w_dom"):
@@ -123,7 +128,7 @@ def test_decay_applies_to_prestep_value():
     before = params.w_feat[0, 0]
     d = grad_like(params, fill=0.0)
     d.w_feat[0, 0] = 3.0
-    adam_step(state, params, d)
+    one_step(state, params, d)
     assert params.w_feat[0, 0] == pytest.approx(before * (1 - 0.1 * 0.2) - 0.1, rel=1e-12)
 
 
@@ -134,7 +139,7 @@ def test_quadratic_convergence():
     for _ in range(400):
         d = grad_like(params, fill=0.0)
         d.w_feat[:] = 2.0 * (params.w_feat - target)
-        adam_step(state, params, d)
+        one_step(state, params, d)
     assert np.abs(params.w_feat).max() < 1e-3
 
 
@@ -147,7 +152,7 @@ def test_l1_direction_shrinks_adjacency_monotonically():
     for _ in range(100):
         d = GradientSet.zeros_like(params)
         d.adj[:] = l1_subgradient(params.adj, 0.1)
-        adam_step(state, params, d)
+        one_step(state, params, d)
         mag = np.abs(params.adj.upper)
         assert (mag <= prev + 1e-15).all()
         assert (np.sign(params.adj.upper) == signs).all()
@@ -160,7 +165,7 @@ def test_nonfinite_direction_raises_and_names_tensor():
     d = grad_like(params, fill=0.0)
     d.w_dom[0, 0] = np.nan
     with pytest.raises(DivergenceError) as exc:
-        adam_step(state, params, d)
+        one_step(state, params, d)
     assert "w_dom" in str(exc.value)
     assert state.t == 0
 
@@ -172,7 +177,7 @@ def test_nonfinite_check_runs_before_any_mutation():
     d = grad_like(params, fill=1.0)
     d.w_dom[0, 0] = np.inf
     with pytest.raises(DivergenceError):
-        adam_step(state, params, d)
+        one_step(state, params, d)
     for name, arr in params.tensors().items():
         assert np.array_equal(arr, before[name])
 
@@ -183,7 +188,7 @@ def test_missing_direction_rejected():
     d = GradientSet.zeros_like(params)
     d.w_dom = None
     with pytest.raises(ConfigError):
-        adam_step(state, params, d)
+        one_step(state, params, d)
 
 
 def assert_views_of_flat(params):
@@ -247,7 +252,7 @@ def test_vector_step_matches_per_tensor_loop_bitwise(weight_decay, domain_head, 
     for t in range(1, 26):
         d = grad_like(params, rng=rng)
         d.w_feat[0, 0] = 0.0  # never touched: 0/0 when eps is 0
-        adam_step(state, params, d)
+        one_step(state, params, d)
         reference_adam_step(cfg, t, m, v, ref, d.tensors())
         for name, want in ref.items():
             assert np.array_equal(params.tensors()[name], want), (t, name)
@@ -282,7 +287,7 @@ def test_group_update_rows_match_one_model_steps_bitwise(k, weight_decay, domain
         assert g.shape == stacked.flat.shape
         adam_update(state, stacked, g)
         for i, (p, s, d) in enumerate(zip(singles, single_states, dirs)):
-            adam_step(s, p, d)
+            one_step(s, p, d)
             assert np.array_equal(stacked.flat[i], p.flat), (t, i)
     assert state.t == 25
 

@@ -1,9 +1,12 @@
 """Training loop behavior: reproducibility, switches, failure modes."""
 import collections
+import dataclasses
 import importlib
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eegraph.data import SynthConfig, split_loso, synthesize
 from eegraph.electrodes import DELTA_DEFAULT, ring_layout
@@ -187,11 +190,14 @@ def test_domain_run_accepts_labeled_target_and_records_beta():
     total = QUICK["epochs"] * per_epoch
     assert res.history[0]["beta"] == pytest.approx(grl_beta((per_epoch - 1) / total))
     assert res.history[1]["beta"] > res.history[0]["beta"]
-    # only the features of a labeled target are read
-    stripped = train(DS, TGT.unlabeled(), TrainConfig(node_dat=True, **QUICK))
-    assert res.history == stripped.history
+    # only the features of a labeled target are read: shifting every
+    # target label by one class changes nothing
+    shifted = dataclasses.replace(TGT, labels=(TGT.labels + 1) % TGT.n_classes)
+    assert not np.array_equal(shifted.labels, TGT.labels)
+    relabeled = train(DS, shifted, TrainConfig(node_dat=True, **QUICK))
+    assert res.history == relabeled.history
     for name, tensor in res.params.tensors().items():
-        assert np.array_equal(tensor, stripped.params.tensors()[name])
+        assert np.array_equal(tensor, relabeled.params.tensors()[name])
 
 
 @pytest.mark.parametrize("level", ["node_dat", "dat_graph_level"])
@@ -328,18 +334,19 @@ WIDE_DS = synthesize(SynthConfig(subjects=3, trials_per_class=1, samples_per_tri
     pytest.param(GATE_DS, dict(weight_decay=0.05), id="weight_decay"),
     pytest.param(WIDE_DS, dict(batch_size=2, hidden_dim=4, alpha=0.05), id="62_channels"),
 ])
-def test_lockstep_group_matches_separate_runs_bitwise(tmp_path, ds, variant):
-    from eegraph.data import split_loso
-    from eegraph.train import _group_size, train_lockstep
+def test_lockstep_group_matches_separate_runs_bitwise(monkeypatch, tmp_path, ds, variant):
+    from eegraph.eval import run_protocol
+    from eegraph.train import _group_size
 
     cfg = TrainConfig(**{**GATE, **variant})
-    jobs = [(fold_train, fold_test.unlabeled() if cfg.uses_domain else None)
-            for fold_train, fold_test in split_loso(ds)]
-    assert _group_size(cfg, ds.n_channels) >= len(jobs)
-    grouped = train_lockstep(jobs, cfg)
-    assert len(grouped) == len(jobs)
-    for i, ((fold_train, target), got) in enumerate(zip(jobs, grouped)):
-        alone = train(fold_train, target, cfg)
+    folds = split_loso(ds)
+    assert _group_size(cfg, ds.n_channels) >= len(folds)
+    groups = _record_groups(monkeypatch)
+    _, grouped = run_protocol(ds, "loso", cfg)
+    assert groups == [[f"fold {i}" for i in range(len(folds))]]
+    assert len(grouped) == len(folds)
+    for i, ((fold_train, fold_test), got) in enumerate(zip(folds, grouped)):
+        alone = train(fold_train, fold_test, cfg)
         assert np.array_equal(got.params.flat, alone.params.flat)
         assert got.history == alone.history
         assert (_checkpoint_bytes(got, tmp_path / f"g{i}.ckpt")
@@ -369,7 +376,7 @@ def _unequal_subjects():
 
 @pytest.mark.parametrize("protocol", ["loso", "subject_dependent"])
 def test_unequal_folds_train_in_separate_groups(monkeypatch, protocol):
-    from eegraph.data import split_loso, split_subject_dependent
+    from eegraph.data import _subject_dependent_rows
     from eegraph.eval import run_protocol
 
     ds = _unequal_subjects()
@@ -378,7 +385,7 @@ def test_unequal_folds_train_in_separate_groups(monkeypatch, protocol):
         kwargs = {}
     else:
         # the first trial trains; subject 0's has 3 samples, the others' 6
-        folds = split_subject_dependent(ds, 1)
+        folds = [(ds.take(tr), ds.take(te)) for tr, te in _subject_dependent_rows(ds, 1)]
         kwargs = {"train_trials": 1}
     sizes = [fold_train.n_samples for fold_train, _ in folds]
     assert sizes[0] != sizes[1] == sizes[2] == sizes[3]
@@ -388,6 +395,37 @@ def test_unequal_folds_train_in_separate_groups(monkeypatch, protocol):
     assert groups == [["fold 0"], ["fold 1", "fold 2", "fold 3"]]
     for (fold_train, fold_test), result in zip(folds, results):
         alone = train(fold_train, fold_test, cfg)
+        assert np.array_equal(result.params.flat, alone.params.flat)
+        assert result.history == alone.history
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(protocol=st.sampled_from(["loso", "subject_dependent"]), channels=st.integers(3, 9),
+       batch=st.integers(1, 7), dat=st.booleans(),
+       level=st.sampled_from(["node_dat", "dat_graph_level"]), dropout=st.sampled_from([0.0, 0.4]))
+def test_lockstep_folds_match_separate_runs_across_shapes(protocol, channels, batch, dat, level,
+                                                           dropout):
+    # 3 subjects of 3 trials of 3 samples, subject 0 one sample short: fold 0
+    # trains alone and folds 1 and 2 in one group under either protocol
+    from eegraph.data import _loso_rows, _subject_dependent_rows
+    from eegraph.eval import run_protocol
+
+    cohort = synthesize(SynthConfig(subjects=3, trials_per_class=1, samples_per_trial=3,
+                                    n_channels=channels, n_bands=3, n_classes=3,
+                                    subject_shift_scale=1.0, seed=channels))
+    ds = cohort.take(np.arange(1, cohort.n_samples))
+    cfg = TrainConfig(epochs=2, batch_size=batch, hidden_dim=4, dropout=dropout, alpha=0.01,
+                      seed=batch, **({level: True} if dat else {}))
+    if protocol == "loso":
+        folds, kwargs = _loso_rows(ds), {}
+    else:
+        folds, kwargs = _subject_dependent_rows(ds, 1), {"train_trials": 1}
+    with pytest.MonkeyPatch.context() as mp:
+        groups = _record_groups(mp)
+        _, results = run_protocol(ds, protocol, cfg, **kwargs)
+    assert groups == [["fold 0"], ["fold 1", "fold 2"]]
+    for (train_rows, test_rows), result in zip(folds, results):
+        alone = train(ds.take(train_rows), ds.take(test_rows), cfg)
         assert np.array_equal(result.params.flat, alone.params.flat)
         assert result.history == alone.history
 
@@ -415,30 +453,34 @@ def test_lockstep_divergence_names_the_model(poison):
     # on this 6-channel set NaN makes the loss non-finite, while inf leaves
     # it finite and is caught by the finite check on the group's directions,
     # which also names the model's first non-finite tensor
-    from eegraph.train import train_lockstep
+    from eegraph.train import IndexedJob, train_indexed
 
-    broken = DS.take(np.arange(DS.n_samples))
-    broken.features[0, 0, 0] = poison
-    jobs = [(DS, None), (broken, None), (DS, None)]
+    n = DS.n_samples
+    broken = DS.features.copy()
+    broken[0, 0, 0] = poison
+    features = np.concatenate([DS.features, broken])
+    jobs = [IndexedJob(rows, DS.labels, DS.label_scheme)
+            for rows in (np.arange(n), np.arange(n, 2 * n), np.arange(n))]
     match = ("^fold 1: non-finite loss" if np.isnan(poison)
              else "^fold 1: non-finite update direction for tensor 'adj'$")
     with pytest.raises(DivergenceError, match=match):
-        train_lockstep(jobs, TrainConfig(**QUICK), names=["fold 0", "fold 1", "fold 2"])
+        train_indexed(features, jobs, TrainConfig(**QUICK), names=["fold 0", "fold 1", "fold 2"])
 
 
 def test_lockstep_groups_jobs_by_size_and_keeps_their_order(monkeypatch):
-    from eegraph.data import split_loso
-    from eegraph.train import train_lockstep
+    from eegraph.data import _loso_rows
+    from eegraph.train import IndexedJob, train_indexed
 
     # fold 0 trains on 72 samples, folds 1 and 2 on 69
-    folds = split_loso(_unequal_subjects())
-    jobs = [(folds[1][0], None), (folds[0][0], None), (folds[2][0], None)]
+    ds = _unequal_subjects()
+    rows = [_loso_rows(ds)[i][0] for i in (1, 0, 2)]
+    jobs = [IndexedJob(r, ds.labels[r], ds.label_scheme) for r in rows]
     groups = _record_groups(monkeypatch)
     cfg = TrainConfig(**GATE)
-    results = train_lockstep(jobs, cfg, names=["a", "b", "c"])
+    results = train_indexed(ds.features, jobs, cfg, names=["a", "b", "c"])
     assert groups == [["a", "c"], ["b"]]
-    for (fold_train, _), result in zip(jobs, results):
-        assert np.array_equal(result.params.flat, train(fold_train, None, cfg).params.flat)
+    for r, result in zip(rows, results):
+        assert np.array_equal(result.params.flat, train(ds.take(r), None, cfg).params.flat)
 
 
 def test_adam_steps_once_per_model_step(monkeypatch):
