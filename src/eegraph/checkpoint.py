@@ -1,16 +1,18 @@
-"""Checkpoint files: a JSON header line, then raw little-endian blocks.
+"""Checkpoint files: a JSON header line, then the parameter vector.
 
-Layout (version 2): header JSON + newline; adjacency block (u32 channel
-count, then the packed float64 triangle); each dense weight, w_feat,
-w_class and w_dom when the header says there is a domain head, as a
-shape-prefixed block (u32 ndim, u32 dims, float64 data). A checkpoint
-holds the trained parameters only, no optimizer state. Headers are
-serialized with sorted keys so equal states produce byte-identical files.
+Layout (version 3): header JSON + newline, then `params.flat` as
+little-endian float64, its tensors in `TENSOR_ORDER` (the packed
+adjacency triangle, w_feat, w_class, and w_dom when the header says
+there is a domain head). The body carries no sizes: the header's model
+config and `has_domain_head` state every tensor's shape, and a body of
+any other length is refused. A checkpoint holds the trained parameters
+only, no optimizer state. Headers are serialized with sorted keys so
+equal states produce byte-identical files.
 """
 from __future__ import annotations
 
 import json
-import struct
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,56 +20,52 @@ import numpy as np
 
 from .errors import ConfigError, CorruptBundleError
 from .graph import SymmetricAdjacency
-from .params import TENSOR_ORDER, ModelConfig, ParamSet
+from .params import ModelConfig, ParamSet
 
 FORMAT_NAME = "eegraph-checkpoint"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # JSON types of the model header fields, taken as written: a bool is not
 # a number, and a float or a string is not a count
 _HEADER_TYPES = {name: int for name in ("n_channels", "in_dim", "hidden_dim", "n_classes", "steps")}
 _HEADER_TYPES["dropout"] = (int, float)
 
 
-def write_array_block(arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr, dtype=np.float64)
-    head = struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return head + arr.astype("<f8").tobytes()
-
-
-def read_array_block(buf: bytes, off: int, what: str) -> tuple[np.ndarray, int]:
-    if len(buf) < off + 4:
-        raise CorruptBundleError(f"truncated before {what} block rank")
-    (ndim,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    if ndim > 8:
-        raise CorruptBundleError(f"{what} block claims rank {ndim}")
-    if len(buf) < off + 4 * ndim:
-        raise CorruptBundleError(f"truncated inside {what} block shape")
-    shape = struct.unpack_from(f"<{ndim}I", buf, off)
-    off += 4 * ndim
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    end = off + 8 * count
-    if len(buf) < end:
-        raise CorruptBundleError(
-            f"{what} block needs {8 * count} data bytes, have {len(buf) - off}"
-        )
-    arr = np.frombuffer(buf[off:end], dtype="<f8").astype(np.float64).reshape(shape)
-    return arr, end
+def _strings(value) -> bool:
+    """Whether a value is a list (or tuple) of strings."""
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 @dataclass
 class Checkpoint:
-    """Everything a checkpoint file carries."""
+    """Everything a checkpoint file carries.
+
+    Construction refuses what `load_checkpoint` would refuse: parameters
+    whose shapes differ from the config's, `channel_names` that are not
+    None or `n_channels` strings, and `global_pairs` that are not None or
+    a list of two-string pairs. The pairs are held as tuples, and an
+    empty list of them as None.
+    """
 
     cfg: ModelConfig
     params: ParamSet
     channel_names: list[str] | None = None
     global_pairs: list[tuple[str, str]] | None = None
 
+    def __post_init__(self):
+        self.params.check_shapes(self.cfg)
+        names, pairs = self.channel_names, self.global_pairs
+        if not (names is None or _strings(names) and len(names) == self.cfg.n_channels):
+            raise ConfigError(
+                f"channel_names must be null or a list of {self.cfg.n_channels} strings"
+            )
+        if not (pairs is None
+                or isinstance(pairs, list) and all(_strings(q) and len(q) == 2 for q in pairs)):
+            raise ConfigError("global_pairs must be null or a list of two-string lists")
+        self.global_pairs = [tuple(q) for q in pairs] if pairs else None
+
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     cfg, params = ckpt.cfg, ckpt.params
-    params.check_shapes(cfg)
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -81,22 +79,13 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         },
         "has_domain_head": params.w_dom is not None,
         "channel_names": ckpt.channel_names,
-        "global_pairs": [list(p) for p in ckpt.global_pairs] if ckpt.global_pairs else None,
+        "global_pairs": ckpt.global_pairs,
     }
-    blob = bytearray()
-    blob += json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    blob += params.adj.to_bytes()
-    tensors = params.tensors()
-    for name in TENSOR_ORDER:
-        if name == "adj" or name not in tensors:
-            continue
-        blob += write_array_block(tensors[name])
-    Path(path).write_bytes(bytes(blob))
-
-
-def _strings(value) -> bool:
-    """Whether a header value is a JSON list of strings."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+    # the tensors `check_shapes` passed, which are `params.flat` unless a
+    # field was rebound after construction and no longer views it
+    body = b"".join(t.astype("<f8").tobytes() for t in params.tensors().values())
+    Path(path).write_bytes(head + body)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -134,38 +123,21 @@ def load_checkpoint(path) -> Checkpoint:
     except ConfigError as exc:
         raise CorruptBundleError(f"{p}: bad model header ({exc})") from None
 
-    body = blob[nl + 1 :]
-    adj, off = SymmetricAdjacency.from_bytes(body)
-    if adj.n != cfg.n_channels:
+    # the header alone gives the body's size: it is checked before any
+    # tensor is allocated, and catches truncation and trailing bytes alike
+    shapes = cfg.tensor_shapes(domain_head=has_dom)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    body = memoryview(blob)[nl + 1 :]
+    if len(body) != 8 * sum(sizes):
         raise CorruptBundleError(
-            f"{p}: adjacency covers {adj.n} channels, header says {cfg.n_channels}"
+            f"{p}: body holds {len(body)} bytes, the header's tensors need {8 * sum(sizes)}"
         )
-    w_feat, off = read_array_block(body, off, "w_feat")
-    w_class, off = read_array_block(body, off, "w_class")
-    w_dom = None
-    if has_dom:
-        w_dom, off = read_array_block(body, off, "w_dom")
-    params = ParamSet(adj=adj, w_feat=w_feat, w_class=w_class, w_dom=w_dom)
+    views = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
+    tensors = {name: v.reshape(shape) for (name, shape), v in zip(shapes.items(), views)}
+    tensors["adj"] = SymmetricAdjacency(cfg.n_channels, tensors["adj"])
     try:
-        params.check_shapes(cfg)
-    except Exception as exc:
+        return Checkpoint(cfg=cfg, params=ParamSet(**tensors),
+                          channel_names=header.get("channel_names"),
+                          global_pairs=header.get("global_pairs"))
+    except ConfigError as exc:
         raise CorruptBundleError(f"{p}: {exc}") from None
-
-    if off != len(body):
-        raise CorruptBundleError(f"{p}: {len(body) - off} unexpected trailing bytes")
-
-    names = header.get("channel_names")
-    pairs = header.get("global_pairs")
-    if not (names is None or _strings(names) and len(names) == cfg.n_channels):
-        raise CorruptBundleError(
-            f"{p}: channel_names must be null or a list of {cfg.n_channels} strings"
-        )
-    if not (pairs is None
-            or isinstance(pairs, list) and all(_strings(q) and len(q) == 2 for q in pairs)):
-        raise CorruptBundleError(f"{p}: global_pairs must be null or a list of two-string lists")
-    return Checkpoint(
-        cfg=cfg,
-        params=params,
-        channel_names=names,
-        global_pairs=[tuple(q) for q in pairs] if pairs else None,
-    )

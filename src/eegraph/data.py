@@ -63,6 +63,9 @@ class FeatureDataset:
         for name in ("labels", "subject_ids", "trial_ids"):
             if getattr(self, name).shape != (n,):
                 raise ConfigError(f"{name} must have length {n}, got {getattr(self, name).shape}")
+        if not (isinstance(self.band_names, list)
+                and all(isinstance(name, str) for name in self.band_names)):
+            raise ConfigError(f"band_names must be a list of strings, got {self.band_names!r}")
         if len(self.band_names) != self.features.shape[2]:
             raise ConfigError(
                 f"{len(self.band_names)} band names for {self.features.shape[2]} bands"

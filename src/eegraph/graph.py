@@ -11,13 +11,12 @@ not 2-D fancy-index scatters.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CorruptBundleError, IsolatedNodeError
+from .errors import IsolatedNodeError
 
 
 @lru_cache(maxsize=64)
@@ -128,28 +127,6 @@ class SymmetricAdjacency:
 
     def diagonal(self) -> np.ndarray:
         return self.upper[..., diagonal_positions(self.n)]
-
-    def copy(self) -> "SymmetricAdjacency":
-        return SymmetricAdjacency(self.n, self.upper.copy())
-
-    # --- checkpoint block: u32 channel count, then packed float64 entries, little endian
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<I", self.n) + self.upper.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, buf: bytes) -> tuple["SymmetricAdjacency", int]:
-        """Parse one adjacency block; returns (adjacency, bytes consumed)."""
-        if len(buf) < 4:
-            raise CorruptBundleError("adjacency block truncated before channel count")
-        (n,) = struct.unpack_from("<I", buf, 0)
-        nbytes = 4 + 8 * n_upper(n)
-        if len(buf) < nbytes:
-            raise CorruptBundleError(
-                f"adjacency block for {n} channels needs {nbytes} bytes, have {len(buf)}"
-            )
-        upper = np.frombuffer(buf[4:nbytes], dtype="<f8").astype(np.float64)
-        return cls(n, upper), nbytes
 
 
 def degree(adj: SymmetricAdjacency | np.ndarray) -> np.ndarray:

@@ -6,12 +6,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SymmetricAdjacency
+from .graph import SymmetricAdjacency, n_upper
 
-# Fixed tensor order of the parameter vector and the checkpoint layout.
-# The packed adjacency comes first, so the dense weights are the tail of
-# the vector: only they are subject to weight decay; shrinking the
-# adjacency is the job of its own sparsity penalty.
+# Fixed tensor order of the parameter vector, which a checkpoint body is,
+# byte for byte. The packed adjacency comes first, so the dense weights
+# are the tail of the vector: only they are subject to weight decay;
+# shrinking the adjacency is the job of its own sparsity penalty.
 TENSOR_ORDER = ("adj", "w_feat", "w_class", "w_dom")
 
 
@@ -36,6 +36,18 @@ class ModelConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+
+    def tensor_shapes(self, domain_head: bool) -> dict[str, tuple[int, ...]]:
+        """The shape of each tensor, keyed by name in `TENSOR_ORDER`, adjacency packed."""
+        shapes = {
+            "adj": (n_upper(self.n_channels),),
+            "w_feat": (self.in_dim, self.hidden_dim),
+            "w_class": (self.hidden_dim, self.n_classes),
+            "w_dom": (self.hidden_dim, 2),
+        }
+        if not domain_head:
+            del shapes["w_dom"]
+        return shapes
 
 
 @dataclass
@@ -88,14 +100,10 @@ class ParamSet:
         return stacked
 
     def check_shapes(self, cfg: ModelConfig) -> None:
-        if self.adj.n != cfg.n_channels:
-            raise ConfigError(f"adjacency covers {self.adj.n} channels, config says {cfg.n_channels}")
-        if self.w_feat.shape != (cfg.in_dim, cfg.hidden_dim):
-            raise ConfigError(f"w_feat shape {self.w_feat.shape} != {(cfg.in_dim, cfg.hidden_dim)}")
-        if self.w_class.shape != (cfg.hidden_dim, cfg.n_classes):
-            raise ConfigError(f"w_class shape {self.w_class.shape} != {(cfg.hidden_dim, cfg.n_classes)}")
-        if self.w_dom is not None and self.w_dom.shape != (cfg.hidden_dim, 2):
-            raise ConfigError(f"w_dom shape {self.w_dom.shape} != {(cfg.hidden_dim, 2)}")
+        shapes = cfg.tensor_shapes(domain_head=self.w_dom is not None)
+        for name, t in self.tensors().items():
+            if t.shape != shapes[name]:
+                raise ConfigError(f"{name} shape {t.shape} != {shapes[name]}")
 
     def tensors(self) -> dict[str, np.ndarray]:
         """The tensors present, keyed by name in `TENSOR_ORDER`, adjacency packed."""

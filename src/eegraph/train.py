@@ -45,6 +45,7 @@ from .electrodes import (
 )
 from .errors import ConfigError, DivergenceError
 from .gradients import step_directions
+from .graph import SymmetricAdjacency
 from .losses import convert_labels, domain_loss, grl_beta, kl_loss, l1_penalty, scheme_classes
 from .model import (
     EVAL_CHUNK_ELEMENTS,
@@ -211,19 +212,35 @@ def train_indexed(
 
     Jobs with the same number of training rows and classes train in
     lockstep, in groups of at most `_group_size` models; each model's
-    result is bitwise that of `train` on a copy of its rows. `names`
-    label the models in a `DivergenceError`.
+    result is bitwise that of `train` on a copy of its rows. The layout,
+    its delta and the initial adjacency are resolved once for all groups.
+    `names` label the models in a `DivergenceError`.
     """
+    if any(len(job.rows) == 0 for job in jobs):
+        raise ConfigError("training set is empty")
+    if cfg.uses_domain and any(job.target_rows is None for job in jobs):
+        raise ConfigError("domain adaptation is on but no target data was supplied")
+    n_channels = features.shape[1]
+    if layout is None:
+        layout, auto_pairs = default_layout_for(n_channels)
+        if global_pairs is None:
+            global_pairs = auto_pairs
+    if layout.n != n_channels:
+        raise ConfigError(f"layout has {layout.n} electrodes, data has {n_channels} channels")
+    adj0 = initial_adjacency(layout, global_pairs, resolve_delta(layout, cfg.delta))
+    channel_names = list(layout.names)
+    pairs = list(global_pairs.pairs) if global_pairs is not None else None
+
     by_size: dict[tuple, list[int]] = {}
     for i, job in enumerate(jobs):
         by_size.setdefault((len(job.rows), scheme_classes(job.label_scheme)), []).append(i)
     results: list[TrainResult] = [None] * len(jobs)
-    cap = _group_size(cfg, features.shape[1])
+    cap = _group_size(cfg, n_channels)
     for same in by_size.values():
         for j in range(0, len(same), cap):
             group = same[j : j + cap]
             trained = _train_group(
-                features, [jobs[i] for i in group], cfg, layout, global_pairs,
+                features, [jobs[i] for i in group], cfg, adj0, channel_names, pairs,
                 [f"{names[i]}: " for i in group] if names else [""] * len(group),
             )
             for i, result in zip(group, trained):
@@ -246,36 +263,25 @@ def _train_group(
     features: np.ndarray,
     jobs: list[IndexedJob],
     cfg: TrainConfig,
-    layout: ElectrodeLayout | None,
-    global_pairs: GlobalPairSet | None,
+    adj0: SymmetricAdjacency,
+    channel_names: list[str],
+    global_pairs: list[tuple[str, str]] | None,
     prefixes: list[str],
 ) -> list[TrainResult]:
-    """Train the models of equal-size jobs over one feature array, all steps in lockstep."""
-    n = len(jobs[0].rows)
-    if n == 0:
-        raise ConfigError("training set is empty")
-    if cfg.uses_domain and any(job.target_rows is None for job in jobs):
-        raise ConfigError("domain adaptation is on but no target data was supplied")
-    n_channels = features.shape[1]
-    if layout is None:
-        layout, auto_pairs = default_layout_for(n_channels)
-        if global_pairs is None:
-            global_pairs = auto_pairs
-    if layout.n != n_channels:
-        raise ConfigError(f"layout has {layout.n} electrodes, data has {n_channels} channels")
+    """Train the models of equal-size jobs over one feature array, all steps in lockstep.
 
+    Every model starts from the initial adjacency `adj0`; the channel
+    names and hemisphere pairs label its result.
+    """
+    n = len(jobs[0].rows)
     model_cfg = make_model_config(cfg, features, jobs[0].label_scheme)
-    delta = resolve_delta(layout, cfg.delta)
-    adj0 = initial_adjacency(layout, global_pairs, delta)
 
     # Child streams are always spawned in the same pattern so toggling the
     # domain path cannot shift any other random draw; each model gets its own.
     models, shuffle_rngs, dropout_rngs, target_epoch_ss = [], [], [], []
     for _ in jobs:
         init_ss, shuffle_ss, dropout_ss, target_ss = np.random.SeedSequence(cfg.seed).spawn(4)
-        models.append(init_params(
-            model_cfg, layout, init_ss, domain_head=cfg.uses_domain, adj=adj0
-        ))
+        models.append(init_params(model_cfg, None, init_ss, domain_head=cfg.uses_domain, adj=adj0))
         shuffle_rngs.append(np.random.default_rng(shuffle_ss))
         dropout_rngs.append(np.random.default_rng(dropout_ss))
         target_epoch_ss.append(target_ss.spawn(cfg.epochs))
@@ -366,8 +372,8 @@ def _train_group(
             model_cfg=model_cfg,
             params=params,
             history=history,
-            channel_names=list(layout.names),
-            global_pairs=list(global_pairs.pairs) if global_pairs is not None else None,
+            channel_names=channel_names,
+            global_pairs=global_pairs,
         )
         for params, history in zip(models, histories)
     ]

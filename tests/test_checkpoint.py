@@ -4,14 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from eegraph.checkpoint import (
-    Checkpoint,
-    load_checkpoint,
-    read_array_block,
-    save_checkpoint,
-    write_array_block,
-)
-from eegraph.errors import CorruptBundleError
+from eegraph.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from eegraph.errors import ConfigError, CorruptBundleError
 from eegraph.graph import SymmetricAdjacency
 from eegraph.model import init_params
 from eegraph.params import ModelConfig
@@ -33,33 +27,6 @@ def sample_ckpt(seed=0, domain_head=True):
         channel_names=[f"E{i}" for i in range(5)],
         global_pairs=[("E0", "E4")],
     )
-
-
-def test_array_block_round_trip():
-    rng = np.random.default_rng(1)
-    for shape in [(3,), (2, 4), (2, 3, 2)]:
-        arr = rng.normal(size=shape)
-        buf = write_array_block(arr)
-        back, off = read_array_block(buf, 0, "x")
-        assert off == len(buf)
-        assert np.array_equal(back, arr)
-
-
-def test_array_block_truncation():
-    buf = write_array_block(np.ones((3, 3)))
-    with pytest.raises(CorruptBundleError):
-        read_array_block(buf[:-8], 0, "x")
-    with pytest.raises(CorruptBundleError):
-        read_array_block(buf[:6], 0, "x")
-    with pytest.raises(CorruptBundleError):
-        read_array_block(b"", 0, "x")
-
-
-def test_array_block_absurd_rank():
-    import struct
-
-    with pytest.raises(CorruptBundleError):
-        read_array_block(struct.pack("<I", 40) + b"\x00" * 160, 0, "x")
 
 
 def test_round_trip_minimal(tmp_path):
@@ -107,10 +74,31 @@ def test_header_is_one_json_line(tmp_path):
     head = path.read_bytes().split(b"\n", 1)[0]
     doc = json.loads(head)
     assert doc["format"] == "eegraph-checkpoint"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["model"]["n_channels"] == 5
     assert doc["has_domain_head"] is True
     assert "optimizer" not in doc
+
+
+@pytest.mark.parametrize("domain_head", [True, False], ids=["domain_head", "no_domain_head"])
+def test_body_is_the_parameter_vector(tmp_path, domain_head):
+    ck = sample_ckpt(domain_head=domain_head)
+    path = tmp_path / "b.ckpt"
+    save_checkpoint(path, ck)
+    assert path.read_bytes().split(b"\n", 1)[1] == ck.params.flat.astype("<f8").tobytes()
+
+
+def test_a_rebound_field_is_saved_as_rebound(tmp_path):
+    # a field rebound after construction no longer views params.flat; the
+    # file carries the fields the shape check saw, not the stale vector
+    params = sample_ckpt().params
+    params.w_feat = params.w_feat * 2.0
+    params.w_dom = None
+    path = tmp_path / "r.ckpt"
+    save_checkpoint(path, Checkpoint(cfg=CFG, params=params))
+    back = load_checkpoint(path).params
+    assert np.array_equal(back.w_feat, params.w_feat)
+    assert back.w_dom is None
 
 
 def test_missing_file(tmp_path):
@@ -137,9 +125,10 @@ def test_header_must_be_a_json_object(tmp_path, header):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_unsupported_version(tmp_path, version):
-    # version 1 carried optimizer moments after the weights; it is rejected
+    # version 1 carried optimizer moments after the weights, and version 2
+    # a channel count and per-tensor dims; both are rejected
     path = tmp_path / "v.ckpt"
     save_checkpoint(path, sample_ckpt())
     head, body = path.read_bytes().split(b"\n", 1)
@@ -190,6 +179,16 @@ def test_invalid_model_header_names_the_file(tmp_path, field, value):
     doc["model"][field] = value
     path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body)
     with pytest.raises(CorruptBundleError, match="bad.ckpt"):
+        load_checkpoint(path)
+
+
+def test_absurd_header_sizes_fail_the_length_check(tmp_path):
+    # the body's size follows from the header alone; it is checked before
+    # a tensor of the declared size is allocated
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, sample_ckpt())
+    _rewrite_header(path, lambda doc: doc["model"].update(hidden_dim=10**9))
+    with pytest.raises(CorruptBundleError, match=r"big.ckpt: body holds \d+ bytes"):
         load_checkpoint(path)
 
 
@@ -250,3 +249,19 @@ def test_global_pairs_must_be_two_string_lists(tmp_path, pairs):
     with pytest.raises(CorruptBundleError, match="pairs.ckpt: global_pairs must be null or "
                                                  "a list of two-string lists"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("channel_names", ["a"], "channel_names must be null or a list of 5 strings"),
+    ("channel_names", "ABCDE", "channel_names must be null or a list of 5 strings"),
+    ("global_pairs", [("E0", "E4", "E2")], "global_pairs must be null or a list of two-string"),
+    ("global_pairs", [("E0", 4)], "global_pairs must be null or a list of two-string"),
+])
+def test_checkpoint_refuses_what_the_loader_refuses(tmp_path, field, value, match):
+    # the rules are applied when the checkpoint is built, so no file that
+    # load_checkpoint would refuse is ever written
+    params = sample_ckpt().params
+    path = tmp_path / "never.ckpt"
+    with pytest.raises(ConfigError, match=match):
+        save_checkpoint(path, Checkpoint(cfg=CFG, params=params, **{field: value}))
+    assert not path.exists()

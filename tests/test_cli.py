@@ -360,6 +360,29 @@ def test_inspect_rejects_malformed_header_names(tmp_path, capsys, edit, flags):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_inspect_refuses_a_version_2_file(tmp_path, capsys):
+    # version 2 put a channel count before the adjacency and a rank and dims
+    # before each dense weight; it is not read any more
+    from eegraph.checkpoint import Checkpoint, save_checkpoint
+    from eegraph.electrodes import ring_layout
+    from eegraph.model import init_params
+    from eegraph.params import ModelConfig
+
+    cfg = ModelConfig(n_channels=4, in_dim=3, hidden_dim=4, n_classes=3, steps=2)
+    params = init_params(cfg, ring_layout(4), 0)
+    path = tmp_path / "v2.ckpt"
+    save_checkpoint(path, Checkpoint(cfg=cfg, params=params))
+    doc = {**json.loads(path.read_bytes().split(b"\n", 1)[0]), "version": 2}
+    body = struct.pack("<I", 4) + params.adj.upper.astype("<f8").tobytes()
+    for w in (params.w_feat, params.w_class):
+        body += struct.pack("<3I", 2, *w.shape) + w.astype("<f8").tobytes()
+    path.write_bytes(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+                     + b"\n" + body)
+    assert main(["inspect", "--checkpoint", str(path), "--top-k", "2"]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "unsupported version 2" in err
+
+
 def test_inspect_rejects_oversized_k(bundle, tmp_path, capsys):
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps(TRAIN_DOC))

@@ -199,6 +199,17 @@ def test_dataset_validation():
                        ds.band_names, ds.label_scheme)
 
 
+@pytest.mark.parametrize("names", [[0, 1, 2, 3, 4], "abcde", tuple(DEFAULT_BANDS)],
+                         ids=["ints", "string", "tuple"])
+def test_band_names_must_be_a_list_of_strings(names):
+    # numbers, and a string of as many letters as bands, once passed the
+    # length check
+    ds = synthesize(BASE)
+    with pytest.raises(ConfigError, match="band_names must be a list of strings"):
+        FeatureDataset(ds.features, ds.labels, ds.subject_ids, ds.trial_ids, names,
+                       ds.label_scheme)
+
+
 def test_conflicting_labels_name_the_first_offending_row():
     # rows 0..3: subject 4 trial 1 (labels 0, 0, 2, 1), then subject 2 trial 0
     subject_ids = [4, 4, 2, 4, 4]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from eegraph.errors import CorruptBundleError, IsolatedNodeError
+from eegraph.errors import IsolatedNodeError
 from eegraph.graph import (
     SymmetricAdjacency,
     degree,
@@ -216,23 +216,6 @@ def test_diagonal_reads_packed_entries(n):
     adj = SymmetricAdjacency.from_full(random_symmetric(np.random.default_rng(n), n))
     adj.upper *= np.random.default_rng(n + 1).uniform(0.5, 2.0, size=adj.upper.shape)
     assert np.array_equal(adj.diagonal(), adj.full().diagonal())
-
-
-def test_bytes_round_trip():
-    rng = np.random.default_rng(21)
-    adj = SymmetricAdjacency(6, rng.normal(size=n_upper(6)))
-    parsed, used = SymmetricAdjacency.from_bytes(adj.to_bytes())
-    assert used == len(adj.to_bytes())
-    assert parsed.n == 6
-    assert np.array_equal(parsed.upper, adj.upper)
-
-
-def test_bytes_truncation_detected():
-    blob = SymmetricAdjacency.identity(4).to_bytes()
-    with pytest.raises(CorruptBundleError):
-        SymmetricAdjacency.from_bytes(blob[:2])
-    with pytest.raises(CorruptBundleError):
-        SymmetricAdjacency.from_bytes(blob[:-1])
 
 
 def test_wrong_parameter_count_rejected():

@@ -359,9 +359,10 @@ def _record_groups(monkeypatch):
     groups = []
     real = train_module._train_group
 
-    def recorded(features, jobs, cfg, layout, global_pairs, prefixes):
+    def recorded(*args):
+        prefixes = args[-1]
         groups.append([prefix.removesuffix(": ") for prefix in prefixes])
-        return real(features, jobs, cfg, layout, global_pairs, prefixes)
+        return real(*args)
 
     monkeypatch.setattr(train_module, "_train_group", recorded)
     return groups
