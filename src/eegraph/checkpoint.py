@@ -5,9 +5,10 @@ little-endian float64, its tensors in `TENSOR_ORDER` (the packed
 adjacency triangle, w_feat, w_class, and w_dom when the header says
 there is a domain head). The body carries no sizes: the header's model
 config and `has_domain_head` state every tensor's shape, and a body of
-any other length is refused. A checkpoint holds the trained parameters
-only, no optimizer state. Headers are serialized with sorted keys so
-equal states produce byte-identical files.
+any other length is refused; a copy of the body is cut into tensors by
+`ParamSet.from_flat`. A checkpoint holds the trained parameters only, no
+optimizer state. Headers are serialized with sorted keys so equal
+states produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, CorruptBundleError
-from .graph import SymmetricAdjacency
 from .params import ModelConfig, ParamSet
 
 FORMAT_NAME = "eegraph-checkpoint"
@@ -125,18 +125,15 @@ def load_checkpoint(path) -> Checkpoint:
 
     # the header alone gives the body's size: it is checked before any
     # tensor is allocated, and catches truncation and trailing bytes alike
-    shapes = cfg.tensor_shapes(domain_head=has_dom)
-    sizes = [math.prod(shape) for shape in shapes.values()]
+    size = sum(math.prod(shape) for shape in cfg.tensor_shapes(domain_head=has_dom).values())
     body = memoryview(blob)[nl + 1 :]
-    if len(body) != 8 * sum(sizes):
+    if len(body) != 8 * size:
         raise CorruptBundleError(
-            f"{p}: body holds {len(body)} bytes, the header's tensors need {8 * sum(sizes)}"
+            f"{p}: body holds {len(body)} bytes, the header's tensors need {8 * size}"
         )
-    views = np.split(np.frombuffer(body, dtype="<f8"), np.cumsum(sizes)[:-1])
-    tensors = {name: v.reshape(shape) for (name, shape), v in zip(shapes.items(), views)}
-    tensors["adj"] = SymmetricAdjacency(cfg.n_channels, tensors["adj"])
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:
-        return Checkpoint(cfg=cfg, params=ParamSet(**tensors),
+        return Checkpoint(cfg=cfg, params=ParamSet.from_flat(flat, cfg, has_dom),
                           channel_names=header.get("channel_names"),
                           global_pairs=header.get("global_pairs"))
     except ConfigError as exc:

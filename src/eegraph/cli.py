@@ -240,10 +240,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, CorruptBundleError, LayoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ConfigError, CorruptBundleError, LayoutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (DivergenceError, IsolatedNodeError) as exc:

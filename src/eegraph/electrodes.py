@@ -33,12 +33,8 @@ class ElectrodeLayout:
                 f"{len(self.names)} names but position array of shape {self.positions.shape}"
             )
         if len(set(self.names)) != len(self.names):
-            seen, dupes = set(), []
-            for name in self.names:
-                if name in seen:
-                    dupes.append(name)
-                seen.add(name)
-            raise LayoutError(f"duplicate electrode names: {sorted(set(dupes))}")
+            dupes = sorted({name for name in self.names if self.names.count(name) > 1})
+            raise LayoutError(f"duplicate electrode names: {dupes}")
         if not np.all(np.isfinite(self.positions)):
             raise LayoutError("electrode positions must be finite")
         d = pairwise_distances(self.positions)

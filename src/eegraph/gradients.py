@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigError
-from .graph import SymmetricAdjacency, diagonal_positions, fold_full_gradient, n_upper
+from .graph import SymmetricAdjacency, diagonal_positions, fold_full_gradient, n_upper, unpack_upper
 from .losses import convert_labels, domain_loss, kl_loss, l1_penalty
 from .model import DomainTrace, ForwardTrace, domain_forward, forward, sample_dropout_mask
 from .params import GradientSet, ModelConfig, ParamSet
@@ -140,17 +140,16 @@ def _domain_head_backward(
     """
     if params.w_dom is None:
         raise ConfigError("domain gradients requested without a domain head")
-    g_dlogits = dom.probs.copy()
-    g_src, g_tgt = dom.split_rows(g_dlogits, n_source)
-    g_src[..., 0] -= 1.0
-    g_tgt[..., 1] -= 1.0
-    in_src, in_tgt = dom.split_rows(dom.inputs, n_source)
-
-    def per_model_rows(a: np.ndarray) -> np.ndarray:
-        return a.reshape(a.shape[: dom.row_axis] + (-1, a.shape[-1]))
-
-    g_w_dom = (per_model_rows(in_src).swapaxes(-1, -2) @ per_model_rows(g_src)
-               + per_model_rows(in_tgt).swapaxes(-1, -2) @ per_model_rows(g_tgt))
+    # each model's rows as one block of (rows * n, 2) at node level, source first
+    lead = params.w_dom.shape[:-2]  # the model axes
+    cut = n_source * (dom.probs.shape[-2] if dom.level == "node" else 1)
+    g_dlogits = dom.probs.reshape(lead + (-1, 2)).copy()
+    inputs = dom.inputs.reshape(lead + (-1, dom.inputs.shape[-1]))
+    g_dlogits[..., :cut, 0] -= 1.0
+    g_dlogits[..., cut:, 1] -= 1.0
+    g_w_dom = (inputs[..., :cut, :].swapaxes(-1, -2) @ g_dlogits[..., :cut, :]
+               + inputs[..., cut:, :].swapaxes(-1, -2) @ g_dlogits[..., cut:, :])
+    g_dlogits = g_dlogits.reshape(dom.probs.shape)
     w_dom_t = params.w_dom.swapaxes(-1, -2)
     if dom.level == "node":
         return g_w_dom, g_dlogits @ w_dom_t[..., None, :, :]
@@ -259,13 +258,9 @@ def grad_check(
     """
     analytic = grad_fn(params).tensors()
     tensors = params.tensors()
-    selected = list(tensors) if names is None else list(names)
     worst = 0.0
-    for name in selected:
-        arr = tensors[name]
-        ga = analytic[name]
-        flat = arr.reshape(-1)
-        gflat = ga.reshape(-1)
+    for name in tensors if names is None else names:
+        flat, gflat = tensors[name].reshape(-1), analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -288,9 +283,7 @@ def _random_check_instance(cfg: ModelConfig, seed: int, batch: int):
     rngs = [np.random.default_rng(s) for s in streams]
     mag = rngs[0].uniform(0.3, 1.0, size=n_upper(cfg.n_channels))
     sign = np.where(rngs[0].random(n_upper(cfg.n_channels)) < 0.5, -1.0, 1.0)
-    upper = mag * sign
-    adj = SymmetricAdjacency(cfg.n_channels, upper)
-    full = adj.full()
+    full = unpack_upper(mag * sign, cfg.n_channels)
     np.fill_diagonal(full, 1.0)
     adj = SymmetricAdjacency.from_full(full)
     params = ParamSet(

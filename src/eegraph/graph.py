@@ -118,10 +118,6 @@ class SymmetricAdjacency:
             raise ValueError("adjacency matrix is not symmetric")
         return cls(matrix.shape[0], pack_upper(matrix))
 
-    @classmethod
-    def identity(cls, n: int) -> "SymmetricAdjacency":
-        return cls.from_full(np.eye(n))
-
     def full(self) -> np.ndarray:
         return unpack_upper(self.upper, self.n)
 

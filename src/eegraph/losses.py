@@ -177,25 +177,13 @@ def composite_directions(
     gradient minus beta times the domain gradient (the reversal). At
     beta = 0 the shared directions are taken verbatim from the
     classification pass, so a reversal-disabled run is bit-identical to
-    one with no domain path at all.
+    one with no domain path at all. `GradientSet` construction copies: the
+    result shares no memory with either pass.
     """
-    if domain_grads is None:
-        return GradientSet(
-            adj=class_grads.adj.copy(),
-            w_feat=class_grads.w_feat.copy(),
-            w_class=class_grads.w_class.copy(),
-            w_dom=None,
-        )
-    if beta == 0.0:
-        return GradientSet(
-            adj=class_grads.adj.copy(),
-            w_feat=class_grads.w_feat.copy(),
-            w_class=class_grads.w_class.copy(),
-            w_dom=domain_grads.w_dom.copy(),
-        )
+    shared = beta != 0.0 and domain_grads is not None
     return GradientSet(
-        adj=class_grads.adj - beta * domain_grads.adj,
-        w_feat=class_grads.w_feat - beta * domain_grads.w_feat,
-        w_class=class_grads.w_class.copy(),
-        w_dom=domain_grads.w_dom.copy(),
+        adj=class_grads.adj - beta * domain_grads.adj if shared else class_grads.adj,
+        w_feat=class_grads.w_feat - beta * domain_grads.w_feat if shared else class_grads.w_feat,
+        w_class=class_grads.w_class,
+        w_dom=None if domain_grads is None else domain_grads.w_dom,
     )

@@ -212,16 +212,6 @@ class DomainTrace:
     probs: np.ndarray
     log_probs: np.ndarray
 
-    @property
-    def row_axis(self) -> int:
-        """The axis that indexes rows (samples), counted from the end."""
-        return -3 if self.level == "node" else -2
-
-    def split_rows(self, a: np.ndarray, n_source: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of `a`'s rows below `n_source` (source) and from it on (target)."""
-        after = (slice(None),) * (-self.row_axis - 1)
-        return a[(..., slice(None, n_source)) + after], a[(..., slice(n_source, None)) + after]
-
 
 def domain_forward(params: ParamSet, trace: ForwardTrace, level: str = "node") -> DomainTrace:
     """Score source-vs-target membership from the shared representation.

@@ -1,11 +1,11 @@
 """Adam over the composite update directions, with decoupled weight decay.
 
-A step updates the parameter vector `ParamSet.flat` in place, with the
-directions laid out like it (`flat_directions`) and moment vectors shaped
-like it (`adam_update`). A set stacked over a leading model axis has a
-(k, P) matrix for `flat`; one update then steps every row, bitwise as
-the one-model step of that row would, with one step counter for the
-group; a single model is the one-row case of the same two calls.
+A step updates the parameter vector `ParamSet.flat` in place along
+`GradientSet.flat`, laid out like it, with moments shaped like it. A set
+stacked over a leading model axis has a (k, P) matrix for `flat`; one
+update then steps every row, bitwise as the one-model step of that row
+would, with one step counter for the group; a single model is the
+one-row case of the same two calls.
 Decay touches only the dense transforms, the tail of each row after the
 packed adjacency; the adjacency's shrinkage comes from its own sparsity
 penalty, so decaying it too would double-regularize.
@@ -55,46 +55,59 @@ class AdamState:
 def flat_directions(
     params: ParamSet, directions: GradientSet, prefixes: list[str] | None = None
 ) -> np.ndarray:
-    """The directions concatenated like `params.flat`, any model axis kept.
+    """`directions.flat` itself, once it is laid out like `params.flat` and finite.
 
-    Raises `DivergenceError` on a non-finite entry, naming the first model
-    that has one (by its entry in `prefixes`) and that model's first
-    non-finite tensor in `TENSOR_ORDER`.
+    Raises `ConfigError` when a tensor of `params` has no direction, or its
+    direction is not a view of a vector shaped like `params.flat`; and
+    `DivergenceError` on a non-finite entry (see `_check_finite`).
     """
-    names, dirs = params.tensors(), directions.tensors()
-    lead = params.flat.shape[:-1]
-    try:
-        g = np.concatenate([dirs[name].reshape(lead + (-1,)) for name in names], axis=-1)
-    except KeyError as exc:
-        raise ConfigError(f"no update direction for tensor {exc.args[0]!r}") from None
-    if not np.isfinite(g).all():
-        rows = g.reshape(-1, g.shape[-1])
-        row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
-        name = next(name for name in names
-                    if not np.isfinite(dirs[name].reshape(len(rows), -1)[row]).all())
-        prefix = prefixes[row] if prefixes else ""
-        raise DivergenceError(f"{prefix}non-finite update direction for tensor {name!r}")
+    dirs, g = directions.tensors(), directions.flat
+    for name, t in params.tensors().items():
+        if name not in dirs:
+            raise ConfigError(f"no update direction for tensor {name!r}")
+        if dirs[name].shape != t.shape or dirs[name].base is not g or g.shape != params.flat.shape:
+            raise ConfigError(f"update direction for tensor {name!r} is not laid out like it")
+    _check_finite(params, g, prefixes, "non-finite update direction")
     return g
 
 
-def adam_update(state: AdamState, params: ParamSet, g: np.ndarray) -> None:
+def _check_finite(params: ParamSet, a: np.ndarray, prefixes: list[str] | None, what: str):
+    """Unless `a`, laid out like `params.flat`, is finite, raise `DivergenceError` naming
+    its first bad model (by its entry in `prefixes`) and that model's first bad tensor."""
+    if np.isfinite(a).all():
+        return
+    rows = a.reshape(-1, a.shape[-1])
+    row = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+    name = next(name for name, t in params.views_of(rows[row]).items() if not np.isfinite(t).all())
+    prefix = prefixes[row] if prefixes else ""
+    raise DivergenceError(f"{prefix}{what} for tensor {name!r}")
+
+
+def adam_update(
+    state: AdamState, params: ParamSet, g: np.ndarray, prefixes: list[str] | None = None
+) -> None:
     """Advance every row of `params.flat` one Adam step along `g`, in place.
 
     `g` is laid out like `params.flat` (see `flat_directions`) and the
     state's moments are shaped like it. Weight decay is applied to the
-    pre-step parameter value, independent of the moments.
+    pre-step parameter value, independent of the moments. A second moment
+    that overflows would freeze its coordinate for good: that raises
+    `DivergenceError` (see `_check_finite`) before anything is written.
     """
     cfg = state.cfg
-    state.t += 1
-    bias1 = 1.0 - cfg.beta1**state.t
-    bias2 = 1.0 - cfg.beta2**state.t
-    m, v, p = state.m, state.v, params.flat
+    t = state.t + 1
+    bias1 = 1.0 - cfg.beta1**t
+    bias2 = 1.0 - cfg.beta2**t
+    with np.errstate(over="ignore"):
+        v = state.v * cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        v_hat = v / bias2
+    _check_finite(params, v_hat, prefixes, "Adam's second moment overflows")
+    state.t, state.v = t, v
+    m, p = state.m, params.flat
     m *= cfg.beta1
     m += (1.0 - cfg.beta1) * g
-    v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * g * g
     m_hat = m / bias1
-    v_hat = v / bias2
     if cfg.weight_decay > 0.0:
         dense = p[..., params.adj.upper.shape[-1] :]
         dense -= cfg.lr * cfg.weight_decay * dense

@@ -1,6 +1,7 @@
 """Model configuration and the learnable parameter/gradient containers."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,36 @@ class ModelConfig:
         return shapes
 
 
+def _cut(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of `flat` cut along its last axis, one per shape in order, any model axis
+    leading: where parameters, directions and checkpoint bodies become tensors."""
+    lead, start, views = flat.shape[:-1], 0, []
+    for shape in shapes:
+        views.append(flat[..., start : start + math.prod(shape)].reshape(lead + shape))
+        start += math.prod(shape)
+    return views
+
+
+def _pack(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+    """Copies of the tensors in one float64 vector, any model axis kept, and their
+    shapes past it; the packed adjacency comes first and has one axis per model."""
+    arrays = [np.asarray(t, dtype=np.float64) for t in tensors.values()]
+    lead = arrays[0].shape[:-1]
+    flat = np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1)
+    return flat, [a.shape[len(lead) :] for a in arrays]
+
+
 @dataclass
 class ParamSet:
     """All learnable tensors, as views into one float64 vector `flat`.
 
     Construction copies the tensors into `flat` in `TENSOR_ORDER` and
     rebinds each field to its view, so the caller's arrays are not aliased
-    and an in-place update of `flat` moves them all. A field rebound later
-    no longer aliases `flat`. `w_dom` is present only with a domain head.
-    Tensors with a leading model axis (see `stack`) make `flat` a (k, P)
-    matrix with one model per row.
+    and an in-place update of `flat` moves them all; `from_flat` binds the
+    views of a vector it is given. A field rebound later no longer aliases
+    `flat`. `w_dom` is present only with a domain head. Tensors with a
+    leading model axis (see `stack`) make `flat` a (k, P) matrix with one
+    model per row.
     """
 
     adj: SymmetricAdjacency
@@ -68,19 +89,20 @@ class ParamSet:
     w_dom: np.ndarray | None = None  # (hidden_dim, 2)
 
     def __post_init__(self):
-        arrays = [np.asarray(t, dtype=np.float64) for t in self.tensors().values()]
-        lead = arrays[0].shape[:-1]
-        self._bind(np.concatenate([a.reshape(lead + (-1,)) for a in arrays], axis=-1))
+        self._bind(*_pack(self.tensors()), self.adj.n)
 
-    def _bind(self, flat: np.ndarray) -> None:
-        """Make `flat`, which holds this set's values in order, its vector."""
-        shapes = [np.shape(t) for t in self.tensors().values()]
-        cuts = np.cumsum([int(np.prod(s[flat.ndim - 1 :])) for s in shapes])[:-1]
-        views = np.split(flat, cuts, axis=-1)
-        upper, self.w_feat, self.w_class, *dom = (v.reshape(s) for v, s in zip(views, shapes))
-        self.flat = flat
-        self.adj = SymmetricAdjacency(self.adj.n, upper)
+    def _bind(self, flat: np.ndarray, shapes, n: int) -> None:
+        """Make `flat`, which holds the tensors of `shapes` in order, this set's vector."""
+        upper, self.w_feat, self.w_class, *dom = _cut(flat, shapes)
+        self.flat, self.adj = flat, SymmetricAdjacency(n, upper)
         self.w_dom = dom[0] if dom else None
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, cfg: ModelConfig, domain_head: bool) -> "ParamSet":
+        """The set whose vector is `flat` itself, laid out as `cfg` states."""
+        params = cls.__new__(cls)
+        params._bind(flat, cfg.tensor_shapes(domain_head).values(), cfg.n_channels)
+        return params
 
     @classmethod
     def stack(cls, sets: list["ParamSet"]) -> "ParamSet":
@@ -90,13 +112,11 @@ class ParamSet:
         stacked `flat` (one Adam update per lockstep step) moves every
         model's tensors, and the other way round.
         """
-        tensors = [s.tensors() for s in sets]
-        stacked = cls(
-            adj=SymmetricAdjacency(sets[0].adj.n, np.stack([t["adj"] for t in tensors])),
-            **{name: np.stack([t[name] for t in tensors]) for name in tensors[0] if name != "adj"},
-        )
+        shapes = [t.shape for t in sets[0].tensors().values()]
+        stacked = cls.__new__(cls)
+        stacked._bind(np.stack([_pack(s.tensors())[0] for s in sets]), shapes, sets[0].adj.n)
         for i, s in enumerate(sets):
-            s._bind(stacked.flat[i])
+            s._bind(stacked.flat[i], shapes, s.adj.n)
         return stacked
 
     def check_shapes(self, cfg: ModelConfig) -> None:
@@ -110,19 +130,27 @@ class ParamSet:
         present = (self.adj.upper, self.w_feat, self.w_class, self.w_dom)
         return {name: t for name, t in zip(TENSOR_ORDER, present) if t is not None}
 
+    def views_of(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """A vector laid out like this set's `flat`, as its tensors by name."""
+        tensors = self.tensors()
+        shapes = [t.shape[self.flat.ndim - 1 :] for t in tensors.values()]
+        return dict(zip(tensors, _cut(flat, shapes)))
+
 
 @dataclass
 class GradientSet:
-    """Gradients mirroring ParamSet; adjacency gradient is packed."""
+    """Update directions as views into one vector `flat`, packed adjacency first;
+    construction copies them in as `ParamSet`'s does, so the two lay out alike."""
 
     adj: np.ndarray      # (n(n+1)/2,)
     w_feat: np.ndarray
     w_class: np.ndarray
     w_dom: np.ndarray | None = None
 
-    @classmethod
-    def zeros_like(cls, params: ParamSet) -> "GradientSet":
-        return cls(**{name: np.zeros_like(t) for name, t in params.tensors().items()})
+    def __post_init__(self):
+        self.flat, shapes = _pack(self.tensors())
+        self.adj, self.w_feat, self.w_class, *dom = _cut(self.flat, shapes)
+        self.w_dom = dom[0] if dom else None
 
     def tensors(self) -> dict[str, np.ndarray]:
         present = (self.adj, self.w_feat, self.w_class, self.w_dom)

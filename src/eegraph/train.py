@@ -334,8 +334,8 @@ def _train_group(
                 if cfg.uses_domain:
                     beta = float(grl_beta(done_batches / total_batches))
                     domain = domain_forward(stacked, trace, cfg.domain_level)
-                    dom_src, dom_tgt = domain.split_rows(domain.log_probs, idx.shape[1])
-                    dom = domain_loss(dom_src, dom_tgt, log=True, per_model=True)
+                    lp, n_src = domain.log_probs, idx.shape[1]  # source rows first
+                    dom = domain_loss(lp[:, :n_src], lp[:, n_src:], log=True, per_model=True)
 
                 bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))
                 if bad.size:
@@ -347,7 +347,7 @@ def _train_group(
                 directions = step_directions(
                     model_cfg, stacked, trace, batch_targets, cfg.alpha, domain, beta
                 )
-            adam_update(state, stacked, flat_directions(stacked, directions, prefixes))
+            adam_update(state, stacked, flat_directions(stacked, directions, prefixes), prefixes)
             kl_sum += kl
             l1_sum += l1
             dom_sum += dom

@@ -86,6 +86,13 @@ def test_body_is_the_parameter_vector(tmp_path, domain_head):
     path = tmp_path / "b.ckpt"
     save_checkpoint(path, ck)
     assert path.read_bytes().split(b"\n", 1)[1] == ck.params.flat.astype("<f8").tobytes()
+    # the loaded tensors are views of one writable vector, cut as `ParamSet` cuts it
+    back = load_checkpoint(path).params
+    assert np.array_equal(back.flat, ck.params.flat) and back.flat.flags.writeable
+    for name, t in back.tensors().items():
+        assert t.base is back.flat, name
+    back.flat += 1.0
+    assert np.array_equal(back.w_feat, ck.params.w_feat + 1.0)
 
 
 def test_a_rebound_field_is_saved_as_rebound(tmp_path):

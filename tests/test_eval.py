@@ -24,7 +24,7 @@ QUICK = TrainConfig(epochs=2, batch_size=16, hidden_dim=8, seed=1)
 
 
 def zero_params(cfg):
-    p = init_params(cfg, None, 0, adj=SymmetricAdjacency.identity(cfg.n_channels))
+    p = init_params(cfg, None, 0, adj=SymmetricAdjacency.from_full(np.eye(cfg.n_channels)))
     p.w_feat[:] = 0.0
     p.w_class[:] = 0.0
     return p
@@ -112,7 +112,7 @@ def test_protocol_is_deterministic():
 
 
 def test_activation_map_scaling():
-    adj = SymmetricAdjacency.identity(4)
+    adj = SymmetricAdjacency.from_full(np.eye(4))
     adj.upper[0] = 3.0   # diagonal entries sit at packed positions
     cfg = ModelConfig(n_channels=4, in_dim=2, hidden_dim=3, n_classes=2, steps=1)
     p = init_params(cfg, None, 0, adj=adj)
@@ -124,7 +124,7 @@ def test_activation_map_scaling():
 
 def test_activation_map_constant_diagonal():
     cfg = ModelConfig(n_channels=5, in_dim=2, hidden_dim=3, n_classes=2, steps=1)
-    p = init_params(cfg, None, 0, adj=SymmetricAdjacency.identity(5))
+    p = init_params(cfg, None, 0, adj=SymmetricAdjacency.from_full(np.eye(5)))
     assert np.array_equal(activation_map(p), np.zeros(5))
 
 

@@ -27,7 +27,7 @@ def random_symmetric(rng, n):
 
 def test_parameter_count():
     for n in (1, 2, 5, 62):
-        adj = SymmetricAdjacency.identity(n)
+        adj = SymmetricAdjacency.from_full(np.eye(n))
         assert adj.upper.shape == (n * (n + 1) // 2,)
         assert n_upper(n) == n * (n + 1) // 2
 
@@ -53,7 +53,7 @@ def test_from_full_rejects_asymmetric():
 
 
 def test_degree_identity():
-    assert np.array_equal(degree(SymmetricAdjacency.identity(4)), np.ones(4))
+    assert np.array_equal(degree(SymmetricAdjacency.from_full(np.eye(4))), np.ones(4))
 
 
 def test_degree_sums_absolute_values():
@@ -70,7 +70,7 @@ def test_isolated_node_rejected():
 
 
 def test_normalize_identity():
-    s = normalized_propagator(SymmetricAdjacency.identity(5))
+    s = normalized_propagator(SymmetricAdjacency.from_full(np.eye(5)))
     assert np.array_equal(s, np.eye(5))
 
 
@@ -124,7 +124,7 @@ def test_propagate_matches_nodewise_oracle():
 
 def test_propagate_identity_for_all_steps():
     x = np.random.default_rng(5).normal(size=(4, 3))
-    s = normalized_propagator(SymmetricAdjacency.identity(4))
+    s = normalized_propagator(SymmetricAdjacency.from_full(np.eye(4)))
     for steps in range(4):
         assert np.array_equal(propagate(s, x, steps), x)
 

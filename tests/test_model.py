@@ -335,7 +335,7 @@ def test_graph_domain_head_uses_clean_pooled():
 
 def test_single_channel_graph_equals_node():
     cfg = ModelConfig(n_channels=1, in_dim=3, hidden_dim=4, n_classes=2, steps=1)
-    adj = SymmetricAdjacency.identity(1)
+    adj = SymmetricAdjacency.from_full(np.eye(1))
     p = init_params(cfg, None, 21, domain_head=True, adj=adj)
     x = np.random.default_rng(22).normal(size=(5, 1, 3))
     tr = forward(cfg, p, x)

@@ -26,8 +26,12 @@ def fresh(seed=0, domain_head=True):
     return params
 
 
+def zero_directions(params):
+    return GradientSet(**{name: np.zeros_like(t) for name, t in params.tensors().items()})
+
+
 def grad_like(params, fill=0.0, rng=None):
-    g = GradientSet.zeros_like(params)
+    g = zero_directions(params)
     for arr in g.tensors().values():
         if rng is not None:
             arr += rng.normal(size=arr.shape)
@@ -150,7 +154,7 @@ def test_l1_direction_shrinks_adjacency_monotonically():
     prev = np.abs(params.adj.upper).copy()
     signs = np.sign(params.adj.upper).copy()
     for _ in range(100):
-        d = GradientSet.zeros_like(params)
+        d = zero_directions(params)
         d.adj[:] = l1_subgradient(params.adj, 0.1)
         one_step(state, params, d)
         mag = np.abs(params.adj.upper)
@@ -182,16 +186,32 @@ def test_nonfinite_check_runs_before_any_mutation():
         assert np.array_equal(arr, before[name])
 
 
+def test_second_moment_overflow_raises_before_any_mutation():
+    # finite directions whose square overflows the second moment
+    stacked = ParamSet.stack([fresh(40 + i) for i in range(3)])
+    state = AdamState.for_params(stacked)
+    before = stacked.flat.copy()
+    dirs = [grad_like(fresh(40 + i), fill=1.0) for i in range(3)]
+    dirs[2].w_feat[1, 1] = 1e160
+    dirs[2].w_class[0, 0] = -1e160
+    with pytest.raises(DivergenceError, match="^c: Adam's second moment overflows .*'w_feat'$"):
+        adam_update(state, stacked, flat_directions(stacked, stacked_directions(dirs)),
+                    ["a: ", "b: ", "c: "])
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    assert np.array_equal(stacked.flat, before)
+
+
 def test_missing_direction_rejected():
     params = fresh(11, domain_head=True)
     state = AdamState.for_params(params)
-    d = GradientSet.zeros_like(params)
+    d = zero_directions(params)
     d.w_dom = None
     with pytest.raises(ConfigError):
         one_step(state, params, d)
 
 
 def assert_views_of_flat(params):
+    """The set's tensors (a ParamSet's or a GradientSet's) are views into its `flat`."""
     tensors = params.tensors()
     assert list(tensors) == [name for name in TENSOR_ORDER if name in tensors]
     assert sum(t.size for t in tensors.values()) == params.flat.size
@@ -200,7 +220,7 @@ def assert_views_of_flat(params):
 
 
 def test_tensors_are_views_into_one_vector(tmp_path):
-    adj = SymmetricAdjacency.identity(4)
+    adj = SymmetricAdjacency.from_full(np.eye(4))
     made = init_params(CFG, None, 0, domain_head=True, adj=adj)
     assert not np.shares_memory(made.adj.upper, adj.upper)
     save_checkpoint(tmp_path / "p.ckpt", Checkpoint(cfg=CFG, params=made))
@@ -216,7 +236,47 @@ def test_tensors_are_views_into_one_vector(tmp_path):
     # moving the vector moves every field, and the caller's adjacency stays put
     made.flat += 1.0
     assert np.array_equal(made.adj.upper, adj.upper + 1.0)
-    assert np.array_equal(adj.upper, SymmetricAdjacency.identity(4).upper)
+    assert np.array_equal(adj.upper, SymmetricAdjacency.from_full(np.eye(4)).upper)
+
+
+@pytest.mark.parametrize("domain_head", [True, False])
+@pytest.mark.parametrize("k", [None, 3])
+def test_directions_are_views_of_one_vector_laid_out_like_the_parameters(domain_head, k):
+    # None: one model; 3: a stacked group with a leading model axis
+    if k is None:
+        params = fresh(50, domain_head=domain_head)
+        directions = grad_like(params, rng=np.random.default_rng(51))
+    else:
+        params = ParamSet.stack([fresh(50 + i, domain_head=domain_head) for i in range(k)])
+        directions = stacked_directions(
+            [grad_like(fresh(50 + i, domain_head=domain_head), rng=np.random.default_rng(i))
+             for i in range(k)])
+    assert_views_of_flat(directions)
+    assert directions.flat.shape == params.flat.shape
+    for name, t in directions.tensors().items():
+        assert t.shape == params.tensors()[name].shape
+        assert np.array_equal(params.views_of(directions.flat)[name], t)
+    # the checked directions are the vector itself, not a copy of it
+    assert flat_directions(params, directions) is directions.flat
+
+
+def test_direction_construction_copies_its_tensors():
+    params = fresh(52)
+    given = {name: np.ones_like(t) for name, t in params.tensors().items()}
+    directions = GradientSet(**given)
+    directions.flat[:] = 2.0
+    for name, t in given.items():
+        assert not np.shares_memory(t, directions.flat) and (t == 1.0).all(), name
+
+
+def test_directions_not_laid_out_like_the_parameters_rejected():
+    params = fresh(53)
+    rebound = grad_like(params)
+    rebound.w_class = np.zeros_like(params.w_class)  # no longer a view of `flat`
+    no_dom = fresh(53, domain_head=False)
+    for p, d in ((params, rebound), (no_dom, grad_like(params))):
+        with pytest.raises(ConfigError, match="not laid out like it"):
+            flat_directions(p, d)
 
 
 def reference_adam_step(cfg, t, m, v, tensors, dirs):

@@ -277,6 +277,36 @@ def test_diverging_forward_raises_without_numpy_warnings(node_dat):
         train(fold, held_out, TrainConfig(node_dat=node_dat, **{**QUICK, "seed": 2}))
 
 
+def _isolated_channel_run(weight):
+    """A 4-channel run whose channel 3 has no edge but a self-loop of `weight`."""
+    from eegraph.graph import SymmetricAdjacency
+    from eegraph.train import IndexedJob, _train_group
+
+    ds = synthesize(SynthConfig(subjects=2, trials_per_class=2, samples_per_trial=4,
+                                n_channels=4, n_bands=3, n_classes=3, seed=1))
+    full = np.where(np.eye(4) > 0, 1.0, 0.5)
+    full[3, :] = full[:, 3] = 0.0
+    full[3, 3] = weight
+    job = IndexedJob(np.arange(ds.n_samples), ds.labels, ds.label_scheme)
+    cfg = TrainConfig(epochs=3, batch_size=4, hidden_dim=4, dropout=0.0)
+    return _train_group(ds.features, [job], cfg, SymmetricAdjacency.from_full(full),
+                        list("abcd"), None, ["fold 0: "])[0]
+
+
+@pytest.mark.parametrize("weight", [1e-200, 1e-300])
+def test_second_moment_overflow_raises_instead_of_freezing_the_entry(weight):
+    # the self-loop's direction is finite, but its square overflows Adam's
+    # second moment, which would hold the entry at `weight` for good
+    with pytest.raises(DivergenceError, match="^fold 0: .*second moment.*'adj'$"):
+        _isolated_channel_run(weight)
+
+
+def test_a_tiny_self_loop_still_trains():
+    res = _isolated_channel_run(1e-150)
+    entry = res.params.adj.full()[3, 3]
+    assert np.isfinite(res.params.flat).all() and abs(entry) > 1e-3
+
+
 def test_layout_size_mismatch():
     with pytest.raises(ConfigError):
         train(DS, None, TrainConfig(**QUICK), layout=ring_layout(4))
@@ -492,9 +522,9 @@ def test_adam_steps_once_per_model_step(monkeypatch):
     real = train_module.adam_update
     calls = []
 
-    def counted(state, params, g):
+    def counted(state, params, g, prefixes):
         calls.append((state, len(params.flat)))
-        return real(state, params, g)
+        return real(state, params, g, prefixes)
 
     monkeypatch.setattr(train_module, "adam_update", counted)
     cfg = TrainConfig(**GATE, node_dat=True)
