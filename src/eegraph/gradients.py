@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import SymmetricAdjacency, diagonal_positions, fold_full_gradient, n_upper, unpack_upper
+from .halves import by_row_halves
 from .losses import convert_labels, domain_loss, kl_loss, l1_penalty
 from .model import DomainTrace, ForwardTrace, domain_forward, forward, sample_dropout_mask
 from .params import GradientSet, ModelConfig, ParamSet
@@ -100,12 +101,16 @@ def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
     is a multiply, so a non-finite gradient at a dead unit stays NaN for
     the optimizer's finite check (`optim.flat_directions`) to report. The
     0/1 gate is written as floats into the output, then multiplied in
-    place: one float array, no bool temporary.
+    place: one float array, no bool temporary, in two row halves when large.
     """
-    relu_z = trace.relu_z[..., : g_relu.shape[-3], :, :]
-    out = np.empty(np.broadcast_shapes(relu_z.shape, g_relu.shape))
-    np.greater(relu_z, 0.0, out=out)
-    return np.multiply(out, g_relu, out=out)
+    out = np.empty(g_relu.shape[:-2] + trace.relu_z.shape[-2:])
+
+    def gate(r: slice) -> None:
+        rows = np.greater(trace.relu_z[..., r, :, :], 0.0, out=out[..., r, :, :])
+        np.multiply(rows, g_relu[..., r, :, :], out=rows)
+
+    by_row_halves(out.shape[-3], out.size, gate)
+    return out
 
 
 def _class_head_backward(

@@ -25,6 +25,7 @@ import numpy as np
 from .electrodes import ElectrodeLayout, initial_adjacency
 from .errors import ConfigError
 from .graph import SymmetricAdjacency, _normalize, degree, normalized_propagator
+from .halves import by_row_halves
 from .params import ModelConfig, ParamSet, xavier_init
 
 # Float64 elements in one (rows, n_channels, hidden_dim) array of a
@@ -149,9 +150,9 @@ def forward(
 
     Pass a dropout keep mask to train; omit it to evaluate. The mask is
     sampled by the caller so a fixed mask can be replayed under gradient
-    checks and ablation comparisons. Any `target` rows run behind the rows
-    of `x` through propagation, projection, ReLU and pooling, bitwise per
-    row, for the domain head; the mask and the classifier see only `x`.
+    checks and ablation comparisons. Any `target` rows run behind those of
+    `x` through the encoder pass, bitwise per row and in two row halves
+    when large (`halves.by_row_halves`); the mask and classifier see `x`.
     With stacked parameters, `x`, `target` and `mask` carry the same
     leading model axis. `prop`, the propagator of `params.adj`, skips
     normalizing the adjacency again (evaluation chunks); the trace then
@@ -167,16 +168,23 @@ def forward(
         full = params.adj.full()
         deg = degree(full)
         prop = _normalize(full, deg)
-    hops = [x]
-    for _ in range(cfg.steps):
-        hops.append(np.matmul(prop[..., None, :, :], hops[-1]))
-    # z = (S^steps x) W is rectified in place: nothing reads z after the
-    # ReLU, and relu_z > 0 is the same gate as z > 0 for every float
-    relu_z = np.matmul(hops[-1], params.w_feat[..., None, :, :])
-    relu(relu_z, out=relu_z)
-    # einsum adds the channels in order, as sum(axis=-2) does for hidden
-    # widths above 1 (bitwise), but without a reduction call per row
-    pooled = np.einsum("...ch->...h", relu_z)
+    hops = [x] + [np.empty(x.shape) for _ in range(cfg.steps)]
+    relu_z = np.empty(x.shape[:-1] + (cfg.hidden_dim,))
+    pooled = np.empty(x.shape[:-2] + (cfg.hidden_dim,))
+
+    def encode(r: slice) -> None:
+        h = x[..., r, :, :]
+        for hop in hops[1:]:
+            h = np.matmul(prop[..., None, :, :], h, out=hop[..., r, :, :])
+        # z = (S^steps x) W is rectified in place: nothing reads z after the
+        # ReLU, and relu_z > 0 is the same gate as z > 0 for every float
+        z = np.matmul(h, params.w_feat[..., None, :, :], out=relu_z[..., r, :, :])
+        relu(z, out=z)
+        # einsum adds the channels in order, as sum(axis=-2) does for hidden
+        # widths above 1 (bitwise), but without a reduction call per row
+        np.einsum("...ch->...h", z, out=pooled[..., r, :])
+
+    by_row_halves(x.shape[-3], relu_z.size, encode)
     keep_scale = 1.0
     pooled_drop = pooled[..., :b, :]
     if mask is not None:
@@ -242,7 +250,7 @@ def predict_proba(
     `EVAL_CHUNK_ELEMENTS` elements (one row if a row alone is larger), and
     keeps only the chunks' `probs`. Rows widen to float64 one chunk at a
     time. The hidden-width arrays are bitwise those of one forward over
-    all rows; the probabilities may differ from it in the last bits,
+    all rows, split or not; the probabilities may differ in the last bits,
     because BLAS can order the sums of the (rows, hidden) @ (hidden,
     classes) head product differently for another row count. `rows`
     selects the rows of `x` to score, in order: each chunk gathers only

@@ -445,6 +445,29 @@ def test_predict_over_rows_is_bitwise_the_gathered_stack(shape, f32):
     assert predict_proba(cfg, p, x, rows=rows[:0]).shape == (0, cfg.n_classes)
 
 
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(chunk_rows=st.integers(1, rows_per_chunk(CHUNK_SHAPES["n62_h64"])),
+       count=st.integers(0, 150), seed=st.integers(0, 2**16))
+@example(chunk_rows=1, count=3, seed=0)
+@example(chunk_rows=34, count=67, seed=1)   # the smallest chunk of 62x64 rows that splits
+@example(chunk_rows=66, count=133, seed=2)  # the default chunk
+def test_chunked_predict_over_rows_sweeps_chunk_sizes(chunk_rows, count, seed):
+    from eegraph import halves, model
+
+    cfg = CHUNK_SHAPES["n62_h64"]
+    p = make_params(seed=3, cfg=cfg)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=3.0, size=(count + 5, cfg.n_channels, cfg.in_dim)).astype(np.float32)
+    rows = rng.choice(count + 5, size=count)  # out of order, with repeats
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "EVAL_CHUNK_ELEMENTS", chunk_rows * cfg.n_channels * cfg.hidden_dim)
+        mp.setattr(halves, "_usable_cpus", lambda: 2)  # chunks of 34+ rows split
+        probs = predict_proba(cfg, p, x, rows=rows)
+        assert np.array_equal(probs, predict_proba(cfg, p, x[rows]))
+    whole = forward(cfg, p, x[rows]).probs
+    np.testing.assert_allclose(probs, whole, rtol=1e-12, atol=0.0)
+
+
 def test_predict_memory_is_bounded_by_the_chunk():
     # one forward over all 2400 rows would hold two 76 MB hidden-width arrays
     cfg = CHUNK_SHAPES["n62_h64"]
