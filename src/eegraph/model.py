@@ -14,7 +14,8 @@ The parameters and features may carry a leading model axis
 the same per-model shapes, so each model's arrays are bitwise those of a
 forward on it alone. Prediction runs the same forward over
 bounded row chunks with one propagator and keeps no trace past a chunk,
-so its memory does not grow with the number of rows.
+so its memory does not grow with the number of rows. Large passes run
+in two halves on two threads (`halves.by_row_halves`), bitwise.
 """
 from __future__ import annotations
 

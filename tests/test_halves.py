@@ -7,6 +7,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from eegraph.electrodes import ring_layout
 from eegraph.errors import DivergenceError
 from eegraph.gradients import step_directions
 from eegraph.losses import convert_labels
-from eegraph.model import EVAL_CHUNK_ELEMENTS, domain_forward, forward, init_params, sample_dropout_mask
+from eegraph.model import domain_forward, forward, init_params, predict_proba, sample_dropout_mask
 from eegraph.params import ModelConfig, ParamSet
 from eegraph.train import TrainConfig, train
 
@@ -34,10 +35,6 @@ def _record(seen):
     def run(r):
         seen.append((r, threading.current_thread()))
     return run
-
-
-def test_the_threshold_is_half_a_prediction_chunk():
-    assert halves.SPLIT_ELEMENTS == EVAL_CHUNK_ELEMENTS // 2
 
 
 def test_a_large_pass_runs_as_two_halves_on_one_worker(two_cpus):
@@ -67,14 +64,20 @@ def test_a_small_pass_or_one_cpu_stays_on_the_calling_thread(monkeypatch, rows, 
 
 
 def test_a_call_from_the_worker_runs_serially(two_cpus):
+    # splitting there would wait on the worker from the worker itself
     seen = []
 
-    def on_worker():
-        halves.by_row_halves(8, halves.SPLIT_ELEMENTS, _record(seen))
-        return threading.current_thread()
+    def outer(r):
+        if r.start:  # the worker's half
+            halves.by_row_halves(8, halves.SPLIT_ELEMENTS, _record(seen))
 
-    worker = halves._pool.submit(on_worker).result(timeout=30)
-    assert seen == [(slice(0, 8), worker)]
+    caller = threading.Thread(target=halves.by_row_halves, args=(2, halves.SPLIT_ELEMENTS, outer),
+                              daemon=True)
+    caller.start()
+    caller.join(30)
+    assert not caller.is_alive()
+    [(rows, thread)] = seen
+    assert rows == slice(0, 8) and thread.name.startswith("eegraph-rows")
 
 
 def test_an_error_surfaces_after_both_halves_and_the_first_half_wins(two_cpus):
@@ -99,6 +102,19 @@ def test_an_error_of_the_worker_half_reaches_the_caller(two_cpus):
 
     with pytest.raises(KeyError, match="second half"):
         halves.by_row_halves(4, halves.SPLIT_ELEMENTS, run)
+
+
+def test_the_worker_holds_nothing_of_a_finished_pass(two_cpus):
+    # a pass's arrays are freed when its caller drops them, not at the next split
+    arrays = np.zeros(4)
+    freed = weakref.ref(arrays)
+
+    def run(r, arrays=arrays):
+        arrays[r] = 1.0
+
+    halves.by_row_halves(4, halves.SPLIT_ELEMENTS, run)
+    del run, arrays
+    assert freed() is None
 
 
 @pytest.mark.filterwarnings("error")
@@ -141,29 +157,25 @@ TRACE_ARRAYS = ("full", "deg", "prop", "relu_z", "pooled", "mask", "pooled_drop"
                 "logits", "probs", "log_probs")
 
 
-@pytest.mark.parametrize("cfg, threshold", [(SMALL, 0), (WIDE, halves.SPLIT_ELEMENTS)],
-                         ids=["every_pass", "wide_at_threshold"])
+@pytest.mark.parametrize("cfg, threshold", [(SMALL, 0), (WIDE, None)],
+                         ids=["every_pass", "wide_as_measured"])
 @pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("rows, target_rows, domain, beta", [
     (129, 0, False, 0.0),    # class only, odd rows
     (64, 64, True, 0.3),     # node-level domain with the reversal on
-    (33, 17, True, 0.3),     # odd source and target rows
-    (41, 40, True, 0.0),     # reversal off: target rows carry no gradient
+    (67, 33, True, 0.3),     # odd source and target rows
+    (67, 66, True, 0.0),     # reversal off: target rows carry no gradient
 ])
 def test_split_trace_and_directions_are_bitwise_serial(
     monkeypatch, cfg, threshold, k, rows, target_rows, domain, beta
 ):
-    monkeypatch.setattr(halves, "SPLIT_ELEMENTS", threshold)
+    if threshold is not None:
+        monkeypatch.setattr(halves, "SPLIT_ELEMENTS", threshold)
+        monkeypatch.setattr(halves, "SPLIT_ROW_ELEMENTS", threshold)
     case = _instance(cfg, k, rows, target_rows)
     handoffs = []
-    pool = halves._pool
-
-    class CountedPool:
-        def submit(self, *args):
-            handoffs.append(args)
-            return pool.submit(*args)
-
-    monkeypatch.setattr(halves, "_pool", CountedPool())
+    inbox = halves._inbox
+    monkeypatch.setattr(halves, "_inbox", lambda: handoffs.append(1) or inbox())
     results, sent = [], []
     for cpus in (1, 2):
         monkeypatch.setattr(halves, "_usable_cpus", lambda: cpus)
@@ -183,22 +195,44 @@ def test_split_trace_and_directions_are_bitwise_serial(
     assert np.array_equal(g_serial.flat, g_split.flat)
 
 
-def test_seed62_wide_steps_split_and_narrow_steps_do_not(monkeypatch):
-    # a 128-row step at 62 channels and width 64 splits both passes; a
-    # 32-row step at width 16 (seed62 with its target rows) splits neither
-    sizes = []
-    real = halves.by_row_halves
+def _handoffs(monkeypatch, call):
+    """How many passes `call` hands to the worker."""
+    sent = []
+    inbox = halves._inbox
+    monkeypatch.setattr(halves, "_inbox", lambda: sent.append(1) or inbox())
+    call()
+    monkeypatch.setattr(halves, "_inbox", inbox)
+    return len(sent)
 
-    def counted(rows, elements, run):
-        sizes.append(elements >= halves.SPLIT_ELEMENTS)
-        real(rows, elements, run)
 
-    monkeypatch.setattr("eegraph.model.by_row_halves", counted)
-    monkeypatch.setattr("eegraph.gradients.by_row_halves", counted)
-    _step(WIDE, _instance(WIDE, 1, 128, 0), False, 0.0)
+def test_the_benchmark_passes_split_as_measured(monkeypatch, two_cpus):
+    # seed62_wide: the forward and the gate of its 128- and 96-row steps
+    # split, and so does each 66-row prediction chunk, but not the 12-row
+    # last chunk of 1,200 rows; at width 16 (seed62) nothing splits: not
+    # the 32-row steps (16 source rows, 16 target rows), not the 264- and
+    # 147-row chunks of 675 rows, not the 135-row held-out chunk
     narrow = ModelConfig(n_channels=62, in_dim=5, hidden_dim=16, n_classes=3, dropout=0.5)
-    _step(narrow, _instance(narrow, 1, 16, 16), True, 0.3)
-    assert sizes == [True, True, False, False]
+    for cfg, rows, target_rows, want in [(WIDE, 128, 0, 2), (WIDE, 96, 0, 2),
+                                         (narrow, 16, 16, 0)]:
+        case = _instance(cfg, 1, rows, target_rows)
+        assert _handoffs(monkeypatch, lambda: _step(cfg, case, target_rows > 0, 0.3)) == want
+    rng = np.random.default_rng(0)
+    for cfg, rows, want in [(WIDE, 1200, 18), (narrow, 675, 0), (narrow, 135, 0)]:
+        params = init_params(cfg, ring_layout(62), 0)
+        x = rng.normal(size=(rows, 62, 5)).astype(np.float32)
+        assert _handoffs(monkeypatch, lambda: predict_proba(cfg, params, x)) == want
+
+
+@pytest.mark.parametrize("rows", [0, 1, 66, 67, 133, 200])
+def test_split_prediction_is_bitwise_serial(monkeypatch, rows):
+    params, *_ = _instance(WIDE, 1, 1, 0)
+    x = np.random.default_rng(rows).normal(size=(rows, 62, 5))
+    monkeypatch.setattr(halves, "SPLIT_ELEMENTS", 0)  # every chunk splits
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(halves, "_usable_cpus", lambda: cpus)
+        results.append(predict_proba(WIDE, params, x))
+    assert np.array_equal(*results)
 
 
 def test_concurrent_callers_share_the_worker_and_stay_bitwise(monkeypatch):
