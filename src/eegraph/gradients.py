@@ -9,10 +9,10 @@ rows stacked behind them, combines both gradients at its rectified node
 features relu_z, gates the sum by the ReLU once and runs one backward
 through the chain (`step_directions`), built from GEMMs only. The gate
 reads `relu_z > 0`, since the forward keeps no pre-activation z.
-`class_backward` and `domain_backward` give each objective's own
-gradient, each gated on its own, through that same backward. A trace
-with a leading model axis gives directions with that axis, each model's
-bitwise those of a step on it alone. Subgradients at the ReLU and
+`domain_backward` gives the discrimination loss's own gradient, gated on
+its own, through that same backward. A trace with a leading model axis
+gives directions with that axis, each model's bitwise those of a step on
+it alone. Subgradients at the ReLU and
 absolute-value kinks are taken as 0. Everything runs in float64.
 """
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _class_head_backward(
 
 
 def _domain_head_backward(
-    params: ParamSet, trace: ForwardTrace, dom: DomainTrace, n_source: int
+    params: ParamSet, dom: DomainTrace, n_source: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Domain-head gradient and the discrimination loss's gradient at relu_z.
 
@@ -161,23 +161,6 @@ def _domain_head_backward(
     return g_w_dom, (g_dlogits @ w_dom_t)[..., None, :]
 
 
-def class_backward(
-    cfg: ModelConfig,
-    params: ParamSet,
-    trace: ForwardTrace,
-    targets: np.ndarray,
-    alpha: float,
-) -> GradientSet:
-    """Gradient of summed KL to target distributions plus the L1 penalty.
-
-    Touches the adjacency, the feature transform, and the classifier head;
-    the domain head slot stays None.
-    """
-    g_w_class, g_relu = _class_head_backward(params, trace, targets)
-    g_adj, g_w_feat = _shared_backward(cfg, params, trace, _relu_gate(trace, g_relu), alpha)
-    return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=None)
-
-
 def domain_backward(
     cfg: ModelConfig,
     params: ParamSet,
@@ -191,8 +174,8 @@ def domain_backward(
     through one shared backward. The classifier head is untouched (zeros).
     """
     (src, src_dom), (tgt, tgt_dom) = source, target
-    g_w_dom_src, g_src = _domain_head_backward(params, src, src_dom, len(src.relu_z))
-    g_w_dom_tgt, g_tgt = _domain_head_backward(params, tgt, tgt_dom, 0)
+    g_w_dom_src, g_src = _domain_head_backward(params, src_dom, len(src.relu_z))
+    g_w_dom_tgt, g_tgt = _domain_head_backward(params, tgt_dom, 0)
     stacked = replace(src, hops=[np.concatenate(pair) for pair in zip(src.hops, tgt.hops)])
     g_z = np.concatenate([_relu_gate(src, g_src), _relu_gate(tgt, g_tgt)])
     g_adj, g_w_feat = _shared_backward(cfg, params, stacked, g_z, 0.0)
@@ -232,7 +215,7 @@ def step_directions(
     g_w_dom = None
     if domain is not None:
         b = g_relu.shape[-3]
-        g_w_dom, g_dom = _domain_head_backward(params, trace, domain, b)
+        g_w_dom, g_dom = _domain_head_backward(params, domain, b)
         if beta != 0.0:
             # source rows g_relu - beta * g_dom, target rows -beta * g_dom
             reversed_dom = -beta * g_dom

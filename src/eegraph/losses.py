@@ -111,7 +111,8 @@ def kl_loss(pred: np.ndarray, targets: np.ndarray, *, log: bool = False) -> floa
     if p.shape != t.shape:
         raise ConfigError(f"prediction shape {p.shape} != target shape {t.shape}")
     mask = t > 0.0
-    terms = np.zeros_like(t)
+    # C order whatever the layout of `targets`, so a view sums like its copy
+    terms = np.zeros(t.shape)
     log_p = p[mask] if log else np.log(p[mask])
     terms[mask] = t[mask] * (np.log(t[mask]) - log_p)
     return _per_model(terms.sum(axis=(-2, -1)))

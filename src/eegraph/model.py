@@ -9,8 +9,8 @@ needed by the backward pass is kept on a trace object so gradients never
 recompute the forward. The projection is rectified in place, so one
 hidden-width array per forward is made and kept (`relu_z`); pooling and
 the softmax reductions run as elementwise passes over the short axes.
-The parameters and features may carry a leading model axis
-(`ParamSet.stack`): each model then runs on its own rows, with GEMMs of
+The parameters and features may carry a leading model axis (a (k, P)
+`ParamSet.flat`): each model then runs on its own rows, with GEMMs of
 the same per-model shapes, so each model's arrays are bitwise those of a
 forward on it alone. Prediction runs the same forward over
 bounded row chunks with one propagator and keeps no trace past a chunk,

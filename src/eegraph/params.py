@@ -78,9 +78,9 @@ class ParamSet:
     rebinds each field to its view, so the caller's arrays are not aliased
     and an in-place update of `flat` moves them all; `from_flat` binds the
     views of a vector it is given. A field rebound later no longer aliases
-    `flat`. `w_dom` is present only with a domain head. Tensors with a
-    leading model axis (see `stack`) make `flat` a (k, P) matrix with one
-    model per row.
+    `flat`. `w_dom` is present only with a domain head. A (k, P) `flat`
+    gives the tensors a leading model axis, one model per row; each row
+    is a set of its own through `from_flat`.
     """
 
     adj: SymmetricAdjacency
@@ -103,21 +103,6 @@ class ParamSet:
         params = cls.__new__(cls)
         params._bind(flat, cfg.tensor_shapes(domain_head).values(), cfg.n_channels)
         return params
-
-    @classmethod
-    def stack(cls, sets: list["ParamSet"]) -> "ParamSet":
-        """One set over a leading model axis whose `flat` rows back `sets`.
-
-        Each of `sets` is rebound to its row, so an in-place update of the
-        stacked `flat` (one Adam update per lockstep step) moves every
-        model's tensors, and the other way round.
-        """
-        shapes = [t.shape for t in sets[0].tensors().values()]
-        stacked = cls.__new__(cls)
-        stacked._bind(np.stack([_pack(s.tensors())[0] for s in sets]), shapes, sets[0].adj.n)
-        for i, s in enumerate(sets):
-            s._bind(stacked.flat[i], shapes, s.adj.n)
-        return stacked
 
     def check_shapes(self, cfg: ModelConfig) -> None:
         shapes = cfg.tensor_shapes(domain_head=self.w_dom is not None)

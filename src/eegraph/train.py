@@ -20,8 +20,11 @@ gathered at a time. `train` takes datasets: it makes them one job over
 the training features, with the target's features concatenated behind
 them when the domain path is on. Runs are bit-reproducible, and a
 model's result does not depend on the group it trained in: every random
-draw comes from a child stream of the run seed, one set per model, and
-the same children are spawned whether or not the domain path is active.
+draw comes from a child stream of the run seed, and the same children
+are spawned whether or not the domain path is active. Every model
+trains under that one seed, so a group draws once for all its models:
+one initial parameter vector, one batch order per epoch and one dropout
+mask per step, each the draw a lone model would make.
 """
 from __future__ import annotations
 
@@ -92,6 +95,7 @@ class TrainConfig:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.adam()  # refuses a bad optimizer field here, before any data is read
 
     @property
     def uses_domain(self) -> bool:
@@ -277,48 +281,48 @@ def _train_group(
     model_cfg = make_model_config(cfg, features, jobs[0].label_scheme)
 
     # Child streams are always spawned in the same pattern so toggling the
-    # domain path cannot shift any other random draw; each model gets its own.
-    models, shuffle_rngs, dropout_rngs, target_epoch_ss = [], [], [], []
-    for _ in jobs:
-        init_ss, shuffle_ss, dropout_ss, target_ss = np.random.SeedSequence(cfg.seed).spawn(4)
-        models.append(init_params(model_cfg, None, init_ss, domain_head=cfg.uses_domain, adj=adj0))
-        shuffle_rngs.append(np.random.default_rng(shuffle_ss))
-        dropout_rngs.append(np.random.default_rng(dropout_ss))
-        target_epoch_ss.append(target_ss.spawn(cfg.epochs))
-    stacked = ParamSet.stack(models)
+    # domain path cannot shift any other random draw. Every model trains
+    # under the run seed, so one set of draws serves the whole group.
+    k = len(jobs)
+    init_ss, shuffle_ss, dropout_ss, target_ss = np.random.SeedSequence(cfg.seed).spawn(4)
+    first = init_params(model_cfg, None, init_ss, domain_head=cfg.uses_domain, adj=adj0)
+    stacked = ParamSet.from_flat(np.tile(first.flat, (k, 1)), model_cfg, cfg.uses_domain)
+    models = [ParamSet.from_flat(row, model_cfg, cfg.uses_domain) for row in stacked.flat]
     state = AdamState.for_params(stacked, cfg.adam())
+    shuffle_rng = np.random.default_rng(shuffle_ss)
+    dropout_rng = np.random.default_rng(dropout_ss)
+    target_epoch_ss = target_ss.spawn(cfg.epochs)
 
     epsilon = cfg.epsilon if cfg.emotion_dl else 0.0
     soft = np.stack([convert_labels(job.labels, job.label_scheme, epsilon) for job in jobs])
     source_rows = np.stack([job.rows for job in jobs])
-    model_rows = np.arange(len(jobs))[:, None]
     batches_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_batches = cfg.epochs * batches_per_epoch
 
     histories = [[] for _ in jobs]
     done_batches = 0
     for epoch in range(cfg.epochs):
-        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        order = shuffle_rng.permutation(n)
         # (k, n) feature rows in this epoch's batch order, source and target
-        epoch_source = source_rows[model_rows, orders]
+        epoch_source = source_rows[:, order]
         if cfg.uses_domain:
             epoch_target = np.stack([
-                job.target_rows[resample_target(n, len(job.target_rows), ss[epoch])]
-                for job, ss in zip(jobs, target_epoch_ss)
+                job.target_rows[resample_target(n, len(job.target_rows), target_epoch_ss[epoch])]
+                for job in jobs
             ])
-        kl_sum, l1_sum, dom_sum = (np.zeros(len(jobs)) for _ in range(3))
+        kl_sum, l1_sum, dom_sum = (np.zeros(k) for _ in range(3))
         beta = 0.0
         for b in range(batches_per_epoch):
             rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            idx = orders[:, rows]
+            idx = order[rows]
             x = np.take(features, epoch_source[:, rows], axis=0)
-            batch_targets = soft[model_rows, idx]
+            batch_targets = np.take(soft, idx, axis=1)
             # at rate 0 every unit is kept: no mask, and no draw from a
             # stream that feeds nothing else
             mask = None
             if cfg.dropout > 0.0:
-                shape = (idx.shape[1], cfg.hidden_dim)
-                mask = np.stack([sample_dropout_mask(rng, shape, cfg.dropout) for rng in dropout_rngs])
+                drawn = sample_dropout_mask(dropout_rng, (len(idx), cfg.hidden_dim), cfg.dropout)
+                mask = np.broadcast_to(drawn, (k,) + drawn.shape)
             tx = np.take(features, epoch_target[:, rows], axis=0) if cfg.uses_domain else None
             # A non-finite feature makes the forward and the backward meet
             # inf - inf; the loss check reports it, or the finite check of
@@ -329,12 +333,12 @@ def _train_group(
                 kl = kl_loss(trace.log_probs, batch_targets, log=True)
                 l1 = l1_penalty(stacked.adj, cfg.alpha)
 
-                dom = np.zeros(len(jobs))
+                dom = np.zeros(k)
                 domain = None
                 if cfg.uses_domain:
                     beta = float(grl_beta(done_batches / total_batches))
                     domain = domain_forward(stacked, trace, cfg.domain_level)
-                    lp, n_src = domain.log_probs, idx.shape[1]  # source rows first
+                    lp, n_src = domain.log_probs, len(idx)  # source rows first
                     dom = domain_loss(lp[:, :n_src], lp[:, n_src:], log=True, per_model=True)
 
                 bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))

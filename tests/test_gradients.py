@@ -18,7 +18,6 @@ from eegraph.graph import (
 )
 from eegraph.gradients import (
     _relu_gate,
-    class_backward,
     domain_backward,
     grad_check,
     l1_subgradient,
@@ -126,7 +125,7 @@ def test_class_backward_logit_rule():
     params, x = build(3)
     tr = forward(CFG, params, x)
     targets = convert_labels(np.array([0, 1, 2]), "seed3", 0.1)
-    g = class_backward(CFG, params, tr, targets, alpha=0.0)
+    g = step_directions(CFG, params, tr, targets, alpha=0.0)
     expect = tr.pooled_drop.T @ (tr.probs - targets)
     assert np.allclose(g.w_class, expect, atol=1e-14)
     assert g.w_dom is None
@@ -142,7 +141,7 @@ def test_class_backward_matches_finite_difference():
         return kl_loss(tr.probs, targets) + l1_penalty(p.adj, alpha)
 
     def grads(p):
-        return class_backward(CFG, p, forward(CFG, p, x), targets, alpha)
+        return step_directions(CFG, p, forward(CFG, p, x), targets, alpha)
 
     assert grad_check(params, loss, grads) < 1e-5
 
@@ -158,7 +157,7 @@ def test_class_backward_respects_dropout_mask():
         return kl_loss(tr.probs, targets)
 
     def grads(p):
-        return class_backward(cfg, p, forward(cfg, p, x, mask=mask), targets, 0.0)
+        return step_directions(cfg, p, forward(cfg, p, x, mask=mask), targets, 0.0)
 
     assert grad_check(params, loss, grads) < 1e-5
     # a dropped unit's classifier column gets no gradient
@@ -257,10 +256,8 @@ def test_step_directions_match_composed_backwards(n, batch, steps, masked):
     src = forward(cfg, params, xs, mask=mask)
     tgt = forward(cfg, params, xt)
     stacked = forward(cfg, params, xs, mask=mask, target=xt)
-    cls = class_backward(cfg, params, src, targets, alpha)
-
-    off = step_directions(cfg, params, src, targets, alpha)
-    assert_same_directions(off, composite_directions(cls, None, 0.0), exact=True)
+    cls = step_directions(cfg, params, src, targets, alpha)  # the class objective alone
+    assert_same_directions(cls, composite_directions(cls, None, 0.0), exact=True)
     for level in ("node", "graph"):
         domain = domain_forward(params, stacked, level)
         # the reference reads the stacked domain head's halves, so the
@@ -478,7 +475,7 @@ def test_stacked_step_directions_match_each_model_bitwise(level, beta):
 
     models = [build(seed, domain_head=True)[0] for seed in range(3)]
     alone = [build(seed, domain_head=True)[0] for seed in range(3)]
-    stacked = ParamSet.stack(models)
+    stacked = ParamSet.from_flat(np.stack([m.flat for m in models]), CFG, True)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 4, CFG.n_channels, CFG.in_dim))
     tx = rng.normal(size=(3, 4, CFG.n_channels, CFG.in_dim))

@@ -134,7 +134,8 @@ def _instance(cfg, k, rows, target_rows, seed=0):
     """Parameters (stacked when k > 1), features, target, mask and soft targets."""
     models = [init_params(cfg, ring_layout(cfg.n_channels), seed + i, domain_head=True)
               for i in range(k)]
-    params = ParamSet.stack(models) if k > 1 else models[0]
+    params = (ParamSet.from_flat(np.stack([m.flat for m in models]), cfg, True) if k > 1
+              else models[0])
     lead = (k,) if k > 1 else ()
     rng = np.random.default_rng(seed)
     x = rng.normal(size=lead + (rows, cfg.n_channels, cfg.in_dim))

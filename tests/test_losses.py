@@ -255,6 +255,19 @@ def test_losses_keep_a_leading_model_axis():
         assert l1[i] == l1_penalty(SymmetricAdjacency(4, upper[i]), 0.3)
 
 
+def test_kl_sums_a_target_view_like_its_contiguous_copy():
+    # a lockstep group gathers its batch targets as soft[:, idx], a
+    # non-contiguous view; the sum must not follow its memory order
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        soft = rng.dirichlet(np.ones(4), size=(3, 40))
+        view = soft[:, rng.permutation(40)[:16]]
+        assert not view.flags.c_contiguous
+        log_p = log_softmax(rng.normal(size=view.shape))
+        got = kl_loss(log_p, view, log=True)
+        assert got.tobytes() == kl_loss(log_p, np.ascontiguousarray(view), log=True).tobytes()
+
+
 @pytest.mark.parametrize("n", [9, 62])
 def test_stacked_l1_matches_each_model_alone_bitwise(n):
     # the stacked diagonal must sum in each lone model's order; a column-major

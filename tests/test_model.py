@@ -250,7 +250,8 @@ def with_workload_pool_shapes(test):
 def test_pooling_is_bitwise_the_channel_sum(lead, rows, n, hidden, seed):
     cfg = ModelConfig(n_channels=n, in_dim=5, hidden_dim=hidden, n_classes=3, steps=2)
     models = [make_params(seed=seed + k, cfg=cfg) for k in range(lead or 1)]
-    p = models[0] if lead is None else ParamSet.stack(models)
+    p = (models[0] if lead is None
+         else ParamSet.from_flat(np.stack([m.flat for m in models]), cfg, False))
     shape = (rows, n, cfg.in_dim) if lead is None else (lead, rows, n, cfg.in_dim)
     tr = forward(cfg, p, np.random.default_rng(seed).normal(scale=2.0, size=shape))
     want = tr.relu_z.sum(axis=-2)
@@ -526,7 +527,7 @@ def test_stacked_parameters_forward_each_model_bitwise():
 
     models = [make_params(seed=s, domain_head=True) for s in range(3)]
     alone = [make_params(seed=s, domain_head=True) for s in range(3)]
-    stacked = ParamSet.stack(models)
+    stacked = ParamSet.from_flat(np.stack([m.flat for m in models]), CFG, True)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 7, CFG.n_channels, CFG.in_dim))
     tx = rng.normal(size=(3, 7, CFG.n_channels, CFG.in_dim))
@@ -541,8 +542,9 @@ def test_stacked_parameters_forward_each_model_bitwise():
             ref_dom = domain_forward(p, ref, level)
             assert np.array_equal(dom.probs[i], ref_dom.probs)
             assert np.array_equal(dom.log_probs[i], ref_dom.log_probs)
-    # the stacked rows are the models' own vectors
-    models[1].flat[0] += 1.0
-    assert stacked.adj.upper[1, 0] == models[1].adj.upper[0]
+    # a row's set is a view of the stacked vector, as a lockstep model's result is
+    row = ParamSet.from_flat(stacked.flat[1], CFG, True)
+    row.flat[0] += 1.0
+    assert stacked.adj.upper[1, 0] == row.adj.upper[0]
     with pytest.raises(ConfigError):
         forward(CFG, stacked, x[0])

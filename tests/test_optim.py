@@ -26,6 +26,11 @@ def fresh(seed=0, domain_head=True):
     return params
 
 
+def stack(models, domain_head=True):
+    """One set whose (k, P) vector holds the models' vectors as rows."""
+    return ParamSet.from_flat(np.stack([m.flat for m in models]), CFG, domain_head)
+
+
 def zero_directions(params):
     return GradientSet(**{name: np.zeros_like(t) for name, t in params.tensors().items()})
 
@@ -188,7 +193,7 @@ def test_nonfinite_check_runs_before_any_mutation():
 
 def test_second_moment_overflow_raises_before_any_mutation():
     # finite directions whose square overflows the second moment
-    stacked = ParamSet.stack([fresh(40 + i) for i in range(3)])
+    stacked = stack([fresh(40 + i) for i in range(3)])
     state = AdamState.for_params(stacked)
     before = stacked.flat.copy()
     dirs = [grad_like(fresh(40 + i), fill=1.0) for i in range(3)]
@@ -247,7 +252,7 @@ def test_directions_are_views_of_one_vector_laid_out_like_the_parameters(domain_
         params = fresh(50, domain_head=domain_head)
         directions = grad_like(params, rng=np.random.default_rng(51))
     else:
-        params = ParamSet.stack([fresh(50 + i, domain_head=domain_head) for i in range(k)])
+        params = stack([fresh(50 + i, domain_head=domain_head) for i in range(k)], domain_head)
         directions = stacked_directions(
             [grad_like(fresh(50 + i, domain_head=domain_head), rng=np.random.default_rng(i))
              for i in range(k)])
@@ -334,7 +339,7 @@ def test_group_update_rows_match_one_model_steps_bitwise(k, weight_decay, domain
     # matrix against k separate one-model steps
     cfg = AdamConfig(lr=0.02, eps=eps, weight_decay=weight_decay)
     singles = [fresh(20 + i, domain_head=domain_head) for i in range(k)]
-    stacked = ParamSet.stack([fresh(20 + i, domain_head=domain_head) for i in range(k)])
+    stacked = stack([fresh(20 + i, domain_head=domain_head) for i in range(k)], domain_head)
     single_states = [AdamState.for_params(p, cfg) for p in singles]
     state = AdamState.for_params(stacked, cfg)
     assert state.m.shape == stacked.flat.shape == (k, singles[0].flat.size)
@@ -353,7 +358,7 @@ def test_group_update_rows_match_one_model_steps_bitwise(k, weight_decay, domain
 
 
 def test_group_check_names_the_first_bad_model_and_its_first_bad_tensor():
-    stacked = ParamSet.stack([fresh(30 + i) for i in range(3)])
+    stacked = stack([fresh(30 + i) for i in range(3)])
     before = stacked.flat.copy()
     dirs = [grad_like(fresh(30 + i), fill=1.0) for i in range(3)]
     dirs[1].w_class[0, 1] = np.nan

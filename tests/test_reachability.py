@@ -22,7 +22,6 @@ KEPT = {
     "propagate": "acceptance gate 2 checks propagation against a summation oracle with it",
     "composite_directions": "acceptance gate 5 stitches the two backward passes with it",
     "domain_backward": "acceptance gate 5 checks the reversed domain gradient with it",
-    "class_backward": "the fused backward's test reference",
     "label_distribution": "acceptance gate 4 states the soft-label invariants on it",
     "load_layout": "the way a real montage reaches run_protocol",
     "load_global_pairs": "the way a real montage's hemisphere pairs reach run_protocol",

@@ -44,6 +44,13 @@ def test_config_validation():
         TrainConfig(delta=0.0)
 
 
+@pytest.mark.parametrize("field,value", [("lr", 0.0), ("beta1", -0.1), ("beta2", 1.0),
+                                         ("adam_eps", -1.0), ("weight_decay", -0.1)])
+def test_config_refuses_a_bad_optimizer_field_when_built(field, value):
+    with pytest.raises(ConfigError):
+        TrainConfig(**{field: value})
+
+
 def test_config_domain_properties():
     assert not TrainConfig().uses_domain
     assert TrainConfig(node_dat=True).uses_domain
@@ -512,6 +519,36 @@ def test_lockstep_groups_jobs_by_size_and_keeps_their_order(monkeypatch):
     assert groups == [["a", "c"], ["b"]]
     for r, result in zip(rows, results):
         assert np.array_equal(result.params.flat, train(ds.take(r), None, cfg).params.flat)
+
+
+def test_lockstep_group_draws_once_for_all_its_models(monkeypatch):
+    # every model trains under the run seed: one initial draw and one
+    # dropout mask per step serve the whole group (that each model's result
+    # is still its own is test_lockstep_group_matches_separate_runs_bitwise)
+    from eegraph.data import _loso_rows
+    from eegraph.train import IndexedJob, train_indexed
+
+    train_module = importlib.import_module("eegraph.train")
+    counts = collections.Counter()
+
+    def counting(name):
+        real = getattr(train_module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, name, counted)
+
+    counting("init_params")
+    counting("sample_dropout_mask")
+    groups = _record_groups(monkeypatch)
+    rows = [train_rows for train_rows, _ in _loso_rows(GATE_DS)[:3]]
+    jobs = [IndexedJob(r, GATE_DS.labels[r], GATE_DS.label_scheme) for r in rows]
+    cfg = TrainConfig(**{**GATE, "dropout": 0.5})
+    train_indexed(GATE_DS.features, jobs, cfg, names=["a", "b", "c"])
+    assert groups == [["a", "b", "c"]]
+    assert counts == {"init_params": 1, "sample_dropout_mask": cfg.epochs * -(-72 // 12)}
 
 
 def test_adam_steps_once_per_model_step(monkeypatch):
