@@ -12,12 +12,15 @@ reads `relu_z > 0`, since the forward keeps no pre-activation z.
 `domain_backward` gives the discrimination loss's own gradient, gated on
 its own, through that same backward. A trace with a leading model axis
 gives directions with that axis, each model's bitwise those of a step on
-it alone. Subgradients at the ReLU and
-absolute-value kinks are taken as 0. Everything runs in float64.
+it alone. Each direction is written in place into its view of one vector
+laid out like the parameters, which the optimizer steps along as it is.
+Subgradients at the ReLU and absolute-value kinks are taken as 0.
+Everything runs in float64.
 """
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -36,8 +39,10 @@ def _shared_backward(
     trace: ForwardTrace,
     g_z: np.ndarray,
     alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Push the gradient at z back to the shared parameters (packed adj, w_feat).
+    out: GradientSet,
+) -> None:
+    """Push the gradient at z back to the shared parameters, into `out.adj` (packed)
+    and `out.w_feat`.
 
     `g_z` is the gradient at z = (S^K x) W of the trace's leading rows;
     rows past it get none and are not read. The projection comes last in
@@ -60,13 +65,15 @@ def _shared_backward(
 
     g_z = g_z.reshape(lead + (-1, cfg.hidden_dim))
     top = trace.hops[-1][..., :rows, :, :].reshape(lead + (-1, cfg.in_dim))
-    g_w_feat = top.swapaxes(-1, -2) @ g_z
+    np.matmul(top.swapaxes(-1, -2), g_z, out=out.w_feat)
     g_h = band_rows((g_z @ params.w_feat.swapaxes(-1, -2)).reshape(lead + (rows, n, -1)))
-    g_prop = np.zeros_like(prop)
-    for hop in range(cfg.steps, 0, -1):
+    # the last hop's term first; adding it to +0.0 turns a -0.0 entry into +0.0,
+    # as a sum started from zeros does
+    g_prop = g_h @ band_rows(trace.hops[cfg.steps - 1]).swapaxes(-1, -2)
+    g_prop += 0.0
+    for hop in range(cfg.steps - 1, 0, -1):
+        g_h = prop.swapaxes(-1, -2) @ g_h
         g_prop += g_h @ band_rows(trace.hops[hop - 1]).swapaxes(-1, -2)
-        if hop > 1:
-            g_h = prop.swapaxes(-1, -2) @ g_h
 
     # Adjoint of S = D^(-1/2) A D^(-1/2) with D from |A|: each matrix entry
     # feeds S directly and also through its own row's degree; the degree
@@ -77,21 +84,26 @@ def _shared_backward(
     g_deg = -(gs.sum(axis=-1) + gs.sum(axis=-2)) / (2.0 * deg)
     g_full = (g_prop * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
               + np.sign(full) * g_deg[..., :, None])
-    g_adj = fold_full_gradient(g_full) + l1_subgradient(params.adj, alpha)
-    return g_adj, g_w_feat
+    np.add(fold_full_gradient(g_full), l1_subgradient(params.adj, alpha), out=out.adj)
 
 
 def l1_subgradient(adj: SymmetricAdjacency, alpha: float) -> np.ndarray:
     """Packed subgradient of the full-matrix absolute sum, 0 at 0.
 
     Read from the packed triangle: an off-diagonal parameter backs two
-    mirrored entries, so its sign counts twice.
+    mirrored entries, so its sign counts twice. One product of the signs
+    with a cached coefficient per packed position.
     """
-    sign = np.sign(adj.upper)
-    g = 2.0 * alpha * sign
-    diag = diagonal_positions(adj.n)
-    g[..., diag] = alpha * sign[..., diag]
-    return g
+    return np.sign(adj.upper) * _l1_coefficients(adj.n, alpha)
+
+
+@lru_cache(maxsize=64)
+def _l1_coefficients(n: int, alpha: float) -> np.ndarray:
+    """2 alpha at each off-diagonal packed position, alpha on the diagonal."""
+    coefficients = np.full(n_upper(n), 2.0 * alpha)
+    coefficients[diagonal_positions(n)] = alpha
+    coefficients.setflags(write=False)
+    return coefficients
 
 
 def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
@@ -114,46 +126,60 @@ def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
 
 
 def _class_head_backward(
-    params: ParamSet, trace: ForwardTrace, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classifier-head gradient and the summed KL's gradient at the source rows' relu_z.
+    params: ParamSet, trace: ForwardTrace, targets: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The summed KL's gradient at the source rows' relu_z; the classifier head's
+    gradient is written into `out`.
 
-    Sum pooling hands every node the pooled gradient, so the second array
-    is (rows, 1, hidden), broadcast over the channels.
+    Sum pooling hands every node the pooled gradient, so the result is
+    (rows, 1, hidden), broadcast over the channels.
     """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != trace.probs.shape:
         raise ConfigError(f"targets shape {targets.shape} != probs {trace.probs.shape}")
     g_logits = trace.probs - targets
-    g_w_class = trace.pooled_drop.swapaxes(-1, -2) @ g_logits
+    np.matmul(trace.pooled_drop.swapaxes(-1, -2), g_logits, out=out)
     g_pooled = g_logits @ params.w_class.swapaxes(-1, -2)
     if trace.mask is not None:
-        g_pooled = g_pooled * trace.mask * trace.keep_scale
-    return g_w_class, g_pooled[..., None, :]
+        g_pooled *= trace.mask
+        g_pooled *= trace.keep_scale
+    return g_pooled[..., None, :]
+
+
+@lru_cache(maxsize=64)
+def _domain_labels(rows: int, cut: int) -> np.ndarray:
+    """(rows, 2) one-hot domains: source (1, 0) below row `cut`, target (0, 1) from it."""
+    labels = np.zeros((rows, 2))
+    labels[:cut, 0] = 1.0
+    labels[cut:, 1] = 1.0
+    labels.setflags(write=False)
+    return labels
 
 
 def _domain_head_backward(
-    params: ParamSet, dom: DomainTrace, n_source: int
+    params: ParamSet, dom: DomainTrace, n_source: int, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Domain-head gradient and the discrimination loss's gradient at relu_z.
+    """Domain-head gradient, written into `out` when given, and the discrimination
+    loss's gradient at relu_z.
 
-    Rows below `n_source` are source (domain 0), the rest target (domain 1).
-    The head's gradient sums a source GEMM and a target GEMM, in that
-    order, so it does not depend on how the rows were stacked. At graph
-    level the gradient at relu_z is (rows, 1, hidden), broadcast over the
-    channels.
+    Rows below `n_source` are source (domain 0), the rest target (domain 1);
+    the gradient at the logits is the probabilities minus a cached one-hot
+    of the domains, one subtraction over every model. The head's gradient
+    sums a source GEMM and a target GEMM, in that order, so it does not
+    depend on how the rows were stacked. At graph level the gradient at
+    relu_z is (rows, 1, hidden), broadcast over the channels. The gradient
+    at relu_z is a new array, free for its caller to scale in place.
     """
     if params.w_dom is None:
         raise ConfigError("domain gradients requested without a domain head")
     # each model's rows as one block of (rows * n, 2) at node level, source first
     lead = params.w_dom.shape[:-2]  # the model axes
     cut = n_source * (dom.probs.shape[-2] if dom.level == "node" else 1)
-    g_dlogits = dom.probs.reshape(lead + (-1, 2)).copy()
+    probs = dom.probs.reshape(lead + (-1, 2))
+    g_dlogits = probs - _domain_labels(probs.shape[-2], cut)
     inputs = dom.inputs.reshape(lead + (-1, dom.inputs.shape[-1]))
-    g_dlogits[..., :cut, 0] -= 1.0
-    g_dlogits[..., cut:, 1] -= 1.0
-    g_w_dom = (inputs[..., :cut, :].swapaxes(-1, -2) @ g_dlogits[..., :cut, :]
-               + inputs[..., cut:, :].swapaxes(-1, -2) @ g_dlogits[..., cut:, :])
+    g_w_dom = np.add(inputs[..., :cut, :].swapaxes(-1, -2) @ g_dlogits[..., :cut, :],
+                     inputs[..., cut:, :].swapaxes(-1, -2) @ g_dlogits[..., cut:, :], out=out)
     g_dlogits = g_dlogits.reshape(dom.probs.shape)
     w_dom_t = params.w_dom.swapaxes(-1, -2)
     if dom.level == "node":
@@ -174,17 +200,15 @@ def domain_backward(
     through one shared backward. The classifier head is untouched (zeros).
     """
     (src, src_dom), (tgt, tgt_dom) = source, target
+    out = GradientSet._unwritten(cfg, params.flat.shape[:-1], domain_head=True)
     g_w_dom_src, g_src = _domain_head_backward(params, src_dom, len(src.relu_z))
     g_w_dom_tgt, g_tgt = _domain_head_backward(params, tgt_dom, 0)
+    np.add(g_w_dom_src, g_w_dom_tgt, out=out.w_dom)
+    out.w_class[...] = 0.0
     stacked = replace(src, hops=[np.concatenate(pair) for pair in zip(src.hops, tgt.hops)])
     g_z = np.concatenate([_relu_gate(src, g_src), _relu_gate(tgt, g_tgt)])
-    g_adj, g_w_feat = _shared_backward(cfg, params, stacked, g_z, 0.0)
-    return GradientSet(
-        adj=g_adj,
-        w_feat=g_w_feat,
-        w_class=np.zeros_like(params.w_class),
-        w_dom=g_w_dom_src + g_w_dom_tgt,
-    )
+    _shared_backward(cfg, params, stacked, g_z, 0.0, out)
+    return out
 
 
 def step_directions(
@@ -210,19 +234,24 @@ def step_directions(
     At beta = 0 the target rows are skipped and the source rows carry the
     gated class gradient verbatim, so a reversal-disabled step is
     bit-identical to one with no domain path.
+
+    Each direction is written in place into its view of one new vector
+    laid out like `params.flat` (its `flat`), so nothing is copied
+    together after the backward. Without `domain` the vector has no
+    `w_dom` part, even when `params` has a domain head.
     """
-    g_w_class, g_relu = _class_head_backward(params, trace, targets)
-    g_w_dom = None
+    out = GradientSet._unwritten(cfg, params.flat.shape[:-1], domain_head=domain is not None)
+    g_relu = _class_head_backward(params, trace, targets, out.w_class)
     if domain is not None:
         b = g_relu.shape[-3]
-        g_w_dom, g_dom = _domain_head_backward(params, domain, b)
+        _, g_dom = _domain_head_backward(params, domain, b, out.w_dom)
         if beta != 0.0:
             # source rows g_relu - beta * g_dom, target rows -beta * g_dom
-            reversed_dom = -beta * g_dom
-            reversed_dom[..., :b, :, :] += g_relu
-            g_relu = reversed_dom
-    g_adj, g_w_feat = _shared_backward(cfg, params, trace, _relu_gate(trace, g_relu), alpha)
-    return GradientSet(adj=g_adj, w_feat=g_w_feat, w_class=g_w_class, w_dom=g_w_dom)
+            g_dom *= -beta
+            g_dom[..., :b, :, :] += g_relu
+            g_relu = g_dom
+    _shared_backward(cfg, params, trace, _relu_gate(trace, g_relu), alpha, out)
+    return out
 
 
 # --- finite-difference verification ---------------------------------------

@@ -6,7 +6,7 @@ than a runtime invariant. Degrees are computed from absolute values
 because learned edge weights can be negative. The packed entries may
 carry leading axes (one adjacency per model); unpacking, degrees,
 normalization and the gradient fold keep them. Unpacking and the fold
-are gathers through cached index vectors (`np.take` on the last axis),
+are gathers through cached index vectors (`take` on the last axis),
 not 2-D fancy-index scatters.
 """
 from __future__ import annotations
@@ -75,7 +75,7 @@ def unpack_upper(upper: np.ndarray, n: int) -> np.ndarray:
     """
     if upper.shape[-1:] != (n_upper(n),):
         raise ValueError(f"expected {n_upper(n)} packed entries for n={n}, got {upper.shape}")
-    full = np.take(np.asarray(upper, dtype=np.float64), packed_positions(n), axis=-1)
+    full = np.asarray(upper, dtype=np.float64).take(packed_positions(n), axis=-1)
     return full.reshape(upper.shape[:-1] + (n, n))
 
 
@@ -89,7 +89,7 @@ def fold_full_gradient(grad_full: np.ndarray) -> np.ndarray:
     n = grad_full.shape[-1]
     upper, lower = mirror_positions(n)
     flat = grad_full.reshape(grad_full.shape[:-2] + (n * n,))
-    g = np.take(flat, upper, axis=-1) + np.take(flat, lower, axis=-1)
+    g = flat.take(upper, axis=-1) + flat.take(lower, axis=-1)
     g[..., diagonal_positions(n)] = flat[..., :: n + 1]
     return g
 
@@ -129,7 +129,7 @@ def degree(adj: SymmetricAdjacency | np.ndarray) -> np.ndarray:
     """Row sums of absolute connection weights, one per channel."""
     full = adj.full() if isinstance(adj, SymmetricAdjacency) else np.asarray(adj, dtype=np.float64)
     deg = np.abs(full).sum(axis=-1)
-    if np.any(deg == 0.0):
+    if 0.0 in deg:
         dead = np.flatnonzero((deg == 0.0).any(axis=tuple(range(deg.ndim - 1))))
         raise IsolatedNodeError(f"channels {dead.tolist()} have zero total weight")
     return deg

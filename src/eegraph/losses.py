@@ -130,7 +130,7 @@ def l1_penalty(adj: SymmetricAdjacency, alpha: float) -> float | np.ndarray:
     if alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {alpha}")
     mags = np.abs(adj.upper)
-    diag = np.take(mags, diagonal_positions(adj.n), axis=-1)
+    diag = mags.take(diagonal_positions(adj.n), axis=-1)
     return _per_model(alpha * (2.0 * mags.sum(axis=-1) - diag.sum(axis=-1)))
 
 

@@ -124,8 +124,8 @@ class ForwardTrace:
 
 
 def _feature_rows(cfg: ModelConfig, x: np.ndarray, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Float64 (*lead, rows, channels, bands) features; a 2-D sample is one row."""
-    x = np.asarray(x, dtype=np.float64)
+    """(*lead, rows, channels, bands) features in their own dtype; a 2-D sample is one row."""
+    x = np.asarray(x)
     if x.ndim == 2:
         x = x[None]
     if x.ndim != len(lead) + 3 or x.shape[: len(lead)] != lead or x.shape[-2:] != (
@@ -162,8 +162,11 @@ def forward(
     lead = params.flat.shape[:-1]
     x = _feature_rows(cfg, x, lead)
     b = x.shape[-3]
-    if target is not None:
-        x = np.concatenate([x, _feature_rows(cfg, target, lead)], axis=-3)
+    # widened to float64 as they are joined: one pass over the rows
+    if target is None:
+        x = x.astype(np.float64, copy=False)
+    else:
+        x = np.concatenate([x, _feature_rows(cfg, target, lead)], axis=-3, dtype=np.float64)
     full = deg = None
     if prop is None:
         full = params.adj.full()
@@ -173,13 +176,16 @@ def forward(
     relu_z = np.empty(x.shape[:-1] + (cfg.hidden_dim,))
     pooled = np.empty(x.shape[:-2] + (cfg.hidden_dim,))
 
+    # one propagator and one projection per model, broadcast over its rows
+    prop_rows, w_feat_rows = prop[..., None, :, :], params.w_feat[..., None, :, :]
+
     def encode(r: slice) -> None:
         h = x[..., r, :, :]
         for hop in hops[1:]:
-            h = np.matmul(prop[..., None, :, :], h, out=hop[..., r, :, :])
+            h = np.matmul(prop_rows, h, out=hop[..., r, :, :])
         # z = (S^steps x) W is rectified in place: nothing reads z after the
         # ReLU, and relu_z > 0 is the same gate as z > 0 for every float
-        z = np.matmul(h, params.w_feat[..., None, :, :], out=relu_z[..., r, :, :])
+        z = np.matmul(h, w_feat_rows, out=relu_z[..., r, :, :])
         relu(z, out=z)
         # einsum adds the channels in order, as sum(axis=-2) does for hidden
         # widths above 1 (bitwise), but without a reduction call per row

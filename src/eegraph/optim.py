@@ -57,9 +57,13 @@ def flat_directions(
 ) -> np.ndarray:
     """`directions.flat` itself, once it is laid out like `params.flat` and finite.
 
-    Raises `ConfigError` when a tensor of `params` has no direction, or its
-    direction is not a view of a vector shaped like `params.flat`; and
-    `DivergenceError` on a non-finite entry (see `_check_finite`).
+    `step_directions` writes its directions into such a vector, so for its
+    sets the layout holds by construction and this is the finite check;
+    nothing is copied. Raises `ConfigError` when a tensor of `params` has no
+    direction (a domain head stepped without a domain trace), or its
+    direction is not a view of a vector shaped like `params.flat` (a field
+    rebound after construction); and `DivergenceError` on a non-finite
+    entry (see `_check_finite`).
     """
     dirs, g = directions.tensors(), directions.flat
     for name, t in params.tensors().items():
@@ -93,6 +97,9 @@ def adam_update(
     pre-step parameter value, independent of the moments. A second moment
     that overflows would freeze its coordinate for good: that raises
     `DivergenceError` (see `_check_finite`) before anything is written.
+    With eps > 0 every denominator is at least eps, so the step divides
+    plainly; with eps = 0 an untouched coordinate's 0/0 is masked to a
+    step of 0.
     """
     cfg = state.cfg
     t = state.t + 1
@@ -112,6 +119,9 @@ def adam_update(
         dense = p[..., params.adj.upper.shape[-1] :]
         dense -= cfg.lr * cfg.weight_decay * dense
     denom = np.sqrt(v_hat) + cfg.eps
-    # eps = 0 with an untouched coordinate gives 0/0; the step is 0 there
-    delta = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
+    if cfg.eps > 0.0:
+        delta = m_hat / denom  # every denominator is at least eps
+    else:
+        # eps = 0 with an untouched coordinate gives 0/0; the step is 0 there
+        delta = np.divide(m_hat, denom, out=np.zeros_like(m_hat), where=denom > 0.0)
     p -= cfg.lr * delta

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +57,9 @@ def _cut(flat: np.ndarray, shapes) -> list[np.ndarray]:
     leading: where parameters, directions and checkpoint bodies become tensors."""
     lead, start, views = flat.shape[:-1], 0, []
     for shape in shapes:
-        views.append(flat[..., start : start + math.prod(shape)].reshape(lead + shape))
-        start += math.prod(shape)
+        end = start + math.prod(shape)
+        views.append(flat[..., start:end].reshape(lead + shape))
+        start = end
     return views
 
 
@@ -125,7 +127,9 @@ class ParamSet:
 @dataclass
 class GradientSet:
     """Update directions as views into one vector `flat`, packed adjacency first;
-    construction copies them in as `ParamSet`'s does, so the two lay out alike."""
+    construction copies them in as `ParamSet`'s does, so the two lay out alike.
+    A backward that writes each direction in place binds an unwritten vector
+    instead (`_unwritten`), so it copies nothing."""
 
     adj: np.ndarray      # (n(n+1)/2,)
     w_feat: np.ndarray
@@ -133,13 +137,32 @@ class GradientSet:
     w_dom: np.ndarray | None = None
 
     def __post_init__(self):
-        self.flat, shapes = _pack(self.tensors())
-        self.adj, self.w_feat, self.w_class, *dom = _cut(self.flat, shapes)
+        self._bind(*_pack(self.tensors()))
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat = flat
+        self.adj, self.w_feat, self.w_class, *dom = _cut(flat, shapes)
         self.w_dom = dom[0] if dom else None
+
+    @classmethod
+    def _unwritten(cls, cfg: ModelConfig, lead: tuple[int, ...], domain_head: bool) -> "GradientSet":
+        """The set over a new, unwritten vector laid out as `cfg` states behind the
+        model axes `lead`; its caller writes every view."""
+        shapes, size = _layout(cfg, domain_head)
+        directions = cls.__new__(cls)
+        directions._bind(np.empty(lead + (size,)), shapes)
+        return directions
 
     def tensors(self) -> dict[str, np.ndarray]:
         present = (self.adj, self.w_feat, self.w_class, self.w_dom)
         return {name: t for name, t in zip(TENSOR_ORDER, present) if t is not None}
+
+
+@lru_cache(maxsize=64)
+def _layout(cfg: ModelConfig, domain_head: bool) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The tensor shapes of `cfg` in order, and the length of their vector."""
+    shapes = tuple(cfg.tensor_shapes(domain_head).values())
+    return shapes, sum(math.prod(shape) for shape in shapes)
 
 
 def xavier_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -10,10 +10,10 @@ The trainer reads features as rows of one shared array
 those rows' labels and, for the domain path, target-row indices, so no
 training set or target set is copied. Soft-label targets are rows of
 the scheme's table, gathered once per group; target rows are drawn once
-per epoch by `resample_target`. Models whose training sets have the
-same size train in lockstep: their parameters are the rows of one
-(k, P) matrix, and each step gathers the (k, batch) source rows with
-one `np.take`, the target rows with another, and runs one forward, one
+per epoch and target size by `resample_target`. Models whose training
+sets have the same size train in lockstep: their parameters are the rows
+of one (k, P) matrix, and each step gathers the (k, batch) source rows
+with one `take`, the target rows with another, and runs one forward, one
 backward and one Adam update over a leading model axis. Per-epoch
 training accuracy runs `predict` per model over its rows, one chunk
 gathered at a time. `train` takes datasets: it makes them one job over
@@ -283,11 +283,11 @@ def _train_group(
     # Child streams are always spawned in the same pattern so toggling the
     # domain path cannot shift any other random draw. Every model trains
     # under the run seed, so one set of draws serves the whole group.
-    k = len(jobs)
+    k, uses_domain, domain_level = len(jobs), cfg.uses_domain, cfg.domain_level
     init_ss, shuffle_ss, dropout_ss, target_ss = np.random.SeedSequence(cfg.seed).spawn(4)
-    first = init_params(model_cfg, None, init_ss, domain_head=cfg.uses_domain, adj=adj0)
-    stacked = ParamSet.from_flat(np.tile(first.flat, (k, 1)), model_cfg, cfg.uses_domain)
-    models = [ParamSet.from_flat(row, model_cfg, cfg.uses_domain) for row in stacked.flat]
+    first = init_params(model_cfg, None, init_ss, domain_head=uses_domain, adj=adj0)
+    stacked = ParamSet.from_flat(np.tile(first.flat, (k, 1)), model_cfg, uses_domain)
+    models = [ParamSet.from_flat(row, model_cfg, uses_domain) for row in stacked.flat]
     state = AdamState.for_params(stacked, cfg.adam())
     shuffle_rng = np.random.default_rng(shuffle_ss)
     dropout_rng = np.random.default_rng(dropout_ss)
@@ -301,49 +301,49 @@ def _train_group(
 
     histories = [[] for _ in jobs]
     done_batches = 0
+    no_domain = np.zeros(k)  # the domain term of every step with the domain path off
     for epoch in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         # (k, n) feature rows in this epoch's batch order, source and target
         epoch_source = source_rows[:, order]
-        if cfg.uses_domain:
-            epoch_target = np.stack([
-                job.target_rows[resample_target(n, len(job.target_rows), target_epoch_ss[epoch])]
-                for job in jobs
-            ])
+        if uses_domain:
+            # one draw per target size: models with equal sizes draw the same rows
+            draws = {m: resample_target(n, m, target_epoch_ss[epoch])
+                     for m in {len(job.target_rows) for job in jobs}}
+            epoch_target = np.stack([job.target_rows[draws[len(job.target_rows)]] for job in jobs])
         kl_sum, l1_sum, dom_sum = (np.zeros(k) for _ in range(3))
         beta = 0.0
-        for b in range(batches_per_epoch):
-            rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
-            idx = order[rows]
-            x = np.take(features, epoch_source[:, rows], axis=0)
-            batch_targets = np.take(soft, idx, axis=1)
-            # at rate 0 every unit is kept: no mask, and no draw from a
-            # stream that feeds nothing else
-            mask = None
-            if cfg.dropout > 0.0:
-                drawn = sample_dropout_mask(dropout_rng, (len(idx), cfg.hidden_dim), cfg.dropout)
-                mask = np.broadcast_to(drawn, (k,) + drawn.shape)
-            tx = np.take(features, epoch_target[:, rows], axis=0) if cfg.uses_domain else None
-            # A non-finite feature makes the forward and the backward meet
-            # inf - inf; the loss check reports it, or the finite check of
-            # flat_directions when the activations it poisons still leave
-            # the loss finite.
-            with np.errstate(invalid="ignore"):
+        # A non-finite feature makes the forward and the backward meet
+        # inf - inf; the loss check reports it, or the finite check of
+        # flat_directions when the activations it poisons still leave the
+        # loss finite. One errstate serves the epoch's steps.
+        with np.errstate(invalid="ignore"):
+            for b in range(batches_per_epoch):
+                rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
+                idx = order[rows]
+                x = features.take(epoch_source[:, rows], axis=0)
+                batch_targets = soft.take(idx, axis=1)
+                # at rate 0 every unit is kept: no mask, and no draw from a
+                # stream that feeds nothing else
+                mask = None
+                if cfg.dropout > 0.0:
+                    drawn = sample_dropout_mask(dropout_rng, (len(idx), cfg.hidden_dim), cfg.dropout)
+                    mask = np.broadcast_to(drawn, (k,) + drawn.shape)
+                tx = features.take(epoch_target[:, rows], axis=0) if uses_domain else None
                 trace = forward(model_cfg, stacked, x, mask=mask, target=tx)
                 kl = kl_loss(trace.log_probs, batch_targets, log=True)
                 l1 = l1_penalty(stacked.adj, cfg.alpha)
 
-                dom = np.zeros(k)
-                domain = None
-                if cfg.uses_domain:
+                domain, dom = None, no_domain
+                if uses_domain:
                     beta = float(grl_beta(done_batches / total_batches))
-                    domain = domain_forward(stacked, trace, cfg.domain_level)
+                    domain = domain_forward(stacked, trace, domain_level)
                     lp, n_src = domain.log_probs, len(idx)  # source rows first
                     dom = domain_loss(lp[:, :n_src], lp[:, n_src:], log=True, per_model=True)
 
-                bad = np.flatnonzero(~np.isfinite(kl + l1 + dom))
-                if bad.size:
-                    i = bad[0]
+                finite = np.isfinite(kl + l1 + dom)
+                if not finite.all():
+                    i = np.flatnonzero(~finite)[0]
                     raise DivergenceError(
                         f"{prefixes[i]}non-finite loss at epoch {epoch}, batch {b} "
                         f"(kl={kl[i]}, l1={l1[i]}, domain={dom[i]})"
@@ -351,11 +351,11 @@ def _train_group(
                 directions = step_directions(
                     model_cfg, stacked, trace, batch_targets, cfg.alpha, domain, beta
                 )
-            adam_update(state, stacked, flat_directions(stacked, directions, prefixes), prefixes)
-            kl_sum += kl
-            l1_sum += l1
-            dom_sum += dom
-            done_batches += 1
+                adam_update(state, stacked, flat_directions(stacked, directions, prefixes), prefixes)
+                kl_sum += kl
+                l1_sum += l1
+                dom_sum += dom
+                done_batches += 1
         for i, (job, params) in enumerate(zip(jobs, models)):
             train_acc = float((predict(model_cfg, params, features, rows=job.rows) == job.labels).mean())
             histories[i].append(

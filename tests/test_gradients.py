@@ -12,7 +12,9 @@ from eegraph.electrodes import ring_layout
 from eegraph.errors import ConfigError
 from eegraph.graph import (
     SymmetricAdjacency,
+    diagonal_positions,
     fold_full_gradient,
+    n_upper,
     normalized_propagator,
     propagate,
 )
@@ -31,6 +33,7 @@ from eegraph.losses import (
     domain_loss,
     kl_loss,
     l1_penalty,
+    scheme_classes,
 )
 from eegraph.model import domain_forward, forward, init_params, sample_dropout_mask
 from eegraph.params import GradientSet, ModelConfig
@@ -530,3 +533,70 @@ def test_relu_gate_is_bitwise_the_masked_product(data, models, rows, extra, n, p
         want = (relu_z[..., :rows, :, :] > 0.0) * g
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+def _kink_free_step(cfg, seed, batch, masked, h):
+    """Parameters and a source/target batch whose pre-activations all sit more than
+    10 h from the ReLU kink, with adjacency magnitudes in [0.3, 1] away from the
+    |.| kinks (one weight in five negative, so long hop chains do not cancel out);
+    the first of successive seeds that draws one."""
+    for attempt in range(seed, seed + 50):
+        rng = np.random.default_rng(attempt)
+        upper = rng.uniform(0.3, 1.0, n_upper(cfg.n_channels)) * rng.choice(
+            [-1.0, 1.0], n_upper(cfg.n_channels), p=[0.2, 0.8])
+        upper[diagonal_positions(cfg.n_channels)] = 1.0
+        params = init_params(cfg, None, attempt, domain_head=True,
+                             adj=SymmetricAdjacency(cfg.n_channels, upper))
+        x_src = rng.normal(size=(batch, cfg.n_channels, cfg.in_dim))
+        x_tgt = rng.normal(size=(batch, cfg.n_channels, cfg.in_dim))
+        mask = sample_dropout_mask(rng, (batch, cfg.hidden_dim), cfg.dropout) if masked else None
+        labels = rng.integers(0, cfg.n_classes, size=batch)
+        z = forward(cfg, params, x_src, target=x_tgt).hops[-1] @ params.w_feat
+        if np.abs(z).min() > 10 * h:
+            return params, x_src, x_tgt, mask, labels, rng
+    raise AssertionError("no kink-free instance")
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2**16), n=st.sampled_from([2, 3, 5, 17, 62]), batch=st.integers(1, 3),
+       steps=st.integers(1, 3), level=st.sampled_from(["node", "graph"]), masked=st.booleans(),
+       epsilon=st.floats(0.0, 1.0), scheme=st.sampled_from(["seed3", "seed4", 2, 5]))
+def test_step_directions_match_finite_differences_across_shapes(
+        seed, n, batch, steps, level, masked, epsilon, scheme):
+    # the directions of one training step against central differences of the
+    # objective each update rule follows, at sampled coordinates of every tensor
+    h, alpha, beta = 1e-6, 0.01, 0.5
+    cfg = ModelConfig(n_channels=n, in_dim=3, hidden_dim=3, n_classes=scheme_classes(scheme),
+                      steps=steps, dropout=0.5 if masked else 0.0)
+    params, x_src, x_tgt, mask, labels, rng = _kink_free_step(cfg, seed, batch, masked, h)
+    targets = convert_labels(labels, scheme, epsilon)
+    trace = forward(cfg, params, x_src, mask=mask, target=x_tgt)
+    directions = step_directions(cfg, params, trace, targets, alpha,
+                                 domain_forward(params, trace, level), beta).tensors()
+
+    def phi_class(p):
+        return (kl_loss(forward(cfg, p, x_src, mask=mask).log_probs, targets, log=True)
+                + l1_penalty(p.adj, alpha))
+
+    def phi_domain(p):
+        source = domain_forward(p, forward(cfg, p, x_src), level)
+        target = domain_forward(p, forward(cfg, p, x_tgt), level)
+        return domain_loss(source.log_probs, target.log_probs, log=True)
+
+    objectives = {
+        "w_class": phi_class,
+        "w_dom": phi_domain,
+        "adj": lambda p: phi_class(p) - beta * phi_domain(p),
+        "w_feat": lambda p: phi_class(p) - beta * phi_domain(p),
+    }
+    for name, t in params.tensors().items():
+        flat, analytic = t.reshape(-1), directions[name].reshape(-1)
+        for i in rng.choice(flat.size, size=min(flat.size, 6), replace=False):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = objectives[name](params)
+            flat[i] = orig - h
+            down = objectives[name](params)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            assert abs(analytic[i] - numeric) <= 1e-6 * (1.0 + abs(analytic[i])), (name, i)

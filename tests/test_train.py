@@ -572,3 +572,35 @@ def test_adam_steps_once_per_model_step(monkeypatch):
     steps = collections.Counter((id(state), row) for state, rows in calls for row in range(rows))
     assert sorted(steps.values()) == [steps_per_model] * 4
     assert calls[-1][0].t == steps_per_model
+
+
+@pytest.mark.parametrize("sizes", ["equal", "unequal"])
+def test_target_resample_is_drawn_once_per_epoch_and_target_size(monkeypatch, sizes):
+    # every model of a group draws its target rows from the epoch's one seed,
+    # so models whose target sets have one size share one draw
+    from eegraph.data import _loso_rows
+    from eegraph.train import IndexedJob, train_indexed
+
+    train_module = importlib.import_module("eegraph.train")
+    calls = []
+    real = train_module.resample_target
+
+    def counted(source_n, n, seed):
+        calls.append(n)
+        return real(source_n, n, seed)
+
+    monkeypatch.setattr(train_module, "resample_target", counted)
+    folds = _loso_rows(GATE_DS)[:3]
+    # each held-out subject has 24 rows; the unequal case drops 5 from the last
+    cut = {"equal": 24, "unequal": 19}[sizes]
+    jobs = [IndexedJob(train_rows, GATE_DS.labels[train_rows], GATE_DS.label_scheme,
+                       test_rows if i < 2 else test_rows[:cut])
+            for i, (train_rows, test_rows) in enumerate(folds)]
+    cfg = TrainConfig(**GATE, node_dat=True)
+    results = train_indexed(GATE_DS.features, jobs, cfg)
+    per_epoch = {"equal": [24], "unequal": [19, 24]}[sizes]
+    assert sorted(calls) == sorted(per_epoch * cfg.epochs)
+    # each model still trains as it would alone
+    for job, result in zip(jobs, results):
+        assert np.array_equal(result.params.flat, train_indexed(GATE_DS.features, [job], cfg)[0]
+                              .params.flat)
