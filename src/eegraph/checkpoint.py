@@ -13,14 +13,13 @@ states produce byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, CorruptBundleError
-from .params import ModelConfig, ParamSet
+from .params import ModelConfig, ParamSet, _layout
 
 FORMAT_NAME = "eegraph-checkpoint"
 FORMAT_VERSION = 3
@@ -82,10 +81,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "global_pairs": ckpt.global_pairs,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n"
-    # the tensors `check_shapes` passed, which are `params.flat` unless a
-    # field was rebound after construction and no longer views it
-    body = b"".join(t.astype("<f8").tobytes() for t in params.tensors().values())
-    Path(path).write_bytes(head + body)
+    Path(path).write_bytes(head + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -125,7 +121,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     # the header alone gives the body's size: it is checked before any
     # tensor is allocated, and catches truncation and trailing bytes alike
-    size = sum(math.prod(shape) for shape in cfg.tensor_shapes(domain_head=has_dom).values())
+    _, size = _layout(cfg, has_dom)
     body = memoryview(blob)[nl + 1 :]
     if len(body) != 8 * size:
         raise CorruptBundleError(

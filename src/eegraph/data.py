@@ -70,6 +70,9 @@ class FeatureDataset:
             raise ConfigError(
                 f"{len(self.band_names)} band names for {self.features.shape[2]} bands"
             )
+        repeated = [name for i, name in enumerate(self.band_names) if name in self.band_names[:i]]
+        if repeated:
+            raise ConfigError(f"band {repeated[0]!r} is named more than once")
         c = self.n_classes
         if n and (self.labels.min() < 0 or self.labels.max() >= c):
             raise ConfigError(f"labels must lie in [0, {c}), got range "

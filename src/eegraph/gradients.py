@@ -111,7 +111,7 @@ def _relu_gate(trace: ForwardTrace, g_relu: np.ndarray) -> np.ndarray:
 
     `g_relu` may be broadcast over channels (a pooled gradient). The gate
     is a multiply, so a non-finite gradient at a dead unit stays NaN for
-    the optimizer's finite check (`optim.flat_directions`) to report. The
+    the optimizer's finite check (`optim.adam_update`) to report. The
     0/1 gate is written as floats into the output, then multiplied in
     place: one float array, no bool temporary, in two row halves when large.
     """

@@ -94,15 +94,16 @@ def fold_full_gradient(grad_full: np.ndarray) -> np.ndarray:
     return g
 
 
-@dataclass
+@dataclass(frozen=True)
 class SymmetricAdjacency:
-    """Learnable symmetric channel-connection matrix with self-loops."""
+    """Learnable symmetric channel-connection matrix with self-loops; frozen, so
+    an `upper` that views a parameter vector views it for good."""
 
     n: int
     upper: np.ndarray  # (..., n(n+1)/2) float64
 
     def __post_init__(self):
-        self.upper = np.asarray(self.upper, dtype=np.float64)
+        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=np.float64))
         if self.upper.shape[-1:] != (n_upper(self.n),):
             raise ValueError(
                 f"adjacency over {self.n} channels needs {n_upper(self.n)} parameters, "

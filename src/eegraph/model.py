@@ -124,10 +124,9 @@ class ForwardTrace:
 
 
 def _feature_rows(cfg: ModelConfig, x: np.ndarray, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """(*lead, rows, channels, bands) features in their own dtype; a 2-D sample is one row."""
+    """(*lead, rows, channels, bands) features in their own dtype; any other shape
+    raises `ConfigError`."""
     x = np.asarray(x)
-    if x.ndim == 2:
-        x = x[None]
     if x.ndim != len(lead) + 3 or x.shape[: len(lead)] != lead or x.shape[-2:] != (
         cfg.n_channels, cfg.in_dim
     ):
@@ -252,7 +251,7 @@ def predict_proba(
 ) -> np.ndarray:
     """Class probabilities with dropout off, in bounded row chunks.
 
-    A (samples, channels, bands) stack runs through `forward` a chunk of
+    The (samples, channels, bands) stack runs through `forward` a chunk of
     rows at a time, each chunk's hidden-width arrays holding at most
     `EVAL_CHUNK_ELEMENTS` elements (one row if a row alone is larger), and
     keeps only the chunks' `probs`. Rows widen to float64 one chunk at a
@@ -264,14 +263,11 @@ def predict_proba(
     its own rows, so the result is bitwise that for `x[rows]` and no
     copy of the selection is made.
     """
-    x = np.asarray(x)
-    if x.ndim != 3:
-        # a single (channels, bands) sample, or a shape forward rejects
-        return forward(cfg, params, x).probs
+    x = _feature_rows(cfg, x)
     step = max(1, EVAL_CHUNK_ELEMENTS // (cfg.n_channels * cfg.hidden_dim))
     n = len(x) if rows is None else len(rows)
     prop = normalized_propagator(params.adj)
-    # an empty stack still runs one (empty) chunk, for its shape checks
+    # an empty stack still runs one (empty) chunk, for its (0, classes) shape
     return np.concatenate([
         forward(cfg, params, x[i : i + step] if rows is None
                 else np.take(x, rows[i : i + step], axis=0), prop=prop).probs

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .params import GradientSet, ParamSet
+from .params import ParamSet
 
 
 @dataclass(frozen=True)
@@ -52,29 +52,6 @@ class AdamState:
         return cls(cfg or AdamConfig(), np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def flat_directions(
-    params: ParamSet, directions: GradientSet, prefixes: list[str] | None = None
-) -> np.ndarray:
-    """`directions.flat` itself, once it is laid out like `params.flat` and finite.
-
-    `step_directions` writes its directions into such a vector, so for its
-    sets the layout holds by construction and this is the finite check;
-    nothing is copied. Raises `ConfigError` when a tensor of `params` has no
-    direction (a domain head stepped without a domain trace), or its
-    direction is not a view of a vector shaped like `params.flat` (a field
-    rebound after construction); and `DivergenceError` on a non-finite
-    entry (see `_check_finite`).
-    """
-    dirs, g = directions.tensors(), directions.flat
-    for name, t in params.tensors().items():
-        if name not in dirs:
-            raise ConfigError(f"no update direction for tensor {name!r}")
-        if dirs[name].shape != t.shape or dirs[name].base is not g or g.shape != params.flat.shape:
-            raise ConfigError(f"update direction for tensor {name!r} is not laid out like it")
-    _check_finite(params, g, prefixes, "non-finite update direction")
-    return g
-
-
 def _check_finite(params: ParamSet, a: np.ndarray, prefixes: list[str] | None, what: str):
     """Unless `a`, laid out like `params.flat`, is finite, raise `DivergenceError` naming
     its first bad model (by its entry in `prefixes`) and that model's first bad tensor."""
@@ -92,15 +69,21 @@ def adam_update(
 ) -> None:
     """Advance every row of `params.flat` one Adam step along `g`, in place.
 
-    `g` is laid out like `params.flat` (see `flat_directions`) and the
-    state's moments are shaped like it. Weight decay is applied to the
-    pre-step parameter value, independent of the moments. A second moment
-    that overflows would freeze its coordinate for good: that raises
-    `DivergenceError` (see `_check_finite`) before anything is written.
+    `g` holds the directions laid out like `params.flat` (a `GradientSet.flat`),
+    and the state's moments are shaped like it. Before anything is written,
+    a `g` of another shape (a domain-head set stepped without a domain trace)
+    raises `ConfigError`, and a non-finite `g`, or a second moment that
+    overflows and would freeze its coordinate for good, `DivergenceError`
+    (see `_check_finite`). Weight decay is applied to the pre-step
+    parameter value, independent of the moments.
     With eps > 0 every denominator is at least eps, so the step divides
     plainly; with eps = 0 an untouched coordinate's 0/0 is masked to a
     step of 0.
     """
+    if g.shape != params.flat.shape:
+        raise ConfigError(f"directions of shape {g.shape} are not laid out like the "
+                          f"parameters, of shape {params.flat.shape}")
+    _check_finite(params, g, prefixes, "non-finite update direction")
     cfg = state.cfg
     t = state.t + 1
     bias1 = 1.0 - cfg.beta1**t

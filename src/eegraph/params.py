@@ -29,15 +29,12 @@ class ModelConfig:
     dropout: float = 0.7
 
     def __post_init__(self):
-        for name in ("n_channels", "in_dim", "hidden_dim", "n_classes"):
+        for name in ("n_channels", "in_dim", "n_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.n_classes}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        _check_model_fields(self.hidden_dim, self.steps, self.dropout)
 
     def tensor_shapes(self, domain_head: bool) -> dict[str, tuple[int, ...]]:
         """The shape of each tensor, keyed by name in `TENSOR_ORDER`, adjacency packed."""
@@ -50,6 +47,16 @@ class ModelConfig:
         if not domain_head:
             del shapes["w_dom"]
         return shapes
+
+
+def _check_model_fields(hidden_dim: int, steps: int, dropout: float) -> None:
+    """Refuse hidden_dim or steps below 1, or dropout outside [0, 1); TrainConfig shares this."""
+    if hidden_dim < 1:
+        raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
 
 
 def _cut(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -72,17 +79,24 @@ def _pack(tensors: dict[str, np.ndarray]) -> tuple[np.ndarray, list[tuple[int, .
     return flat, [a.shape[len(lead) :] for a in arrays]
 
 
-@dataclass
+def _assign(obj, **fields) -> None:
+    """Bind the fields of a frozen set; only its construction calls this."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
 class ParamSet:
     """All learnable tensors, as views into one float64 vector `flat`.
 
     Construction copies the tensors into `flat` in `TENSOR_ORDER` and
-    rebinds each field to its view, so the caller's arrays are not aliased
+    binds each field to its view, so the caller's arrays are not aliased
     and an in-place update of `flat` moves them all; `from_flat` binds the
-    views of a vector it is given. A field rebound later no longer aliases
-    `flat`. `w_dom` is present only with a domain head. A (k, P) `flat`
-    gives the tensors a leading model axis, one model per row; each row
-    is a set of its own through `from_flat`.
+    views of a vector it is given. The set is frozen, so every field views
+    `flat` for good; the tensors change only by in-place writes. `w_dom` is
+    present only with a domain head. A (k, P) `flat` gives the tensors a
+    leading model axis, one model per row; each row is a set of its own
+    through `from_flat`.
     """
 
     adj: SymmetricAdjacency
@@ -95,9 +109,9 @@ class ParamSet:
 
     def _bind(self, flat: np.ndarray, shapes, n: int) -> None:
         """Make `flat`, which holds the tensors of `shapes` in order, this set's vector."""
-        upper, self.w_feat, self.w_class, *dom = _cut(flat, shapes)
-        self.flat, self.adj = flat, SymmetricAdjacency(n, upper)
-        self.w_dom = dom[0] if dom else None
+        upper, w_feat, w_class, *dom = _cut(flat, shapes)
+        _assign(self, flat=flat, adj=SymmetricAdjacency(n, upper), w_feat=w_feat,
+                w_class=w_class, w_dom=dom[0] if dom else None)
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, cfg: ModelConfig, domain_head: bool) -> "ParamSet":
@@ -124,12 +138,13 @@ class ParamSet:
         return dict(zip(tensors, _cut(flat, shapes)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradientSet:
     """Update directions as views into one vector `flat`, packed adjacency first;
-    construction copies them in as `ParamSet`'s does, so the two lay out alike.
-    A backward that writes each direction in place binds an unwritten vector
-    instead (`_unwritten`), so it copies nothing."""
+    construction copies them in as `ParamSet`'s does, so the two lay out alike,
+    and the set is frozen as `ParamSet` is. A backward that writes each
+    direction in place binds an unwritten vector instead (`_unwritten`), so it
+    copies nothing."""
 
     adj: np.ndarray      # (n(n+1)/2,)
     w_feat: np.ndarray
@@ -140,9 +155,9 @@ class GradientSet:
         self._bind(*_pack(self.tensors()))
 
     def _bind(self, flat: np.ndarray, shapes) -> None:
-        self.flat = flat
-        self.adj, self.w_feat, self.w_class, *dom = _cut(flat, shapes)
-        self.w_dom = dom[0] if dom else None
+        adj, w_feat, w_class, *dom = _cut(flat, shapes)
+        _assign(self, flat=flat, adj=adj, w_feat=w_feat, w_class=w_class,
+                w_dom=dom[0] if dom else None)
 
     @classmethod
     def _unwritten(cls, cfg: ModelConfig, lead: tuple[int, ...], domain_head: bool) -> "GradientSet":

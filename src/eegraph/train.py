@@ -58,8 +58,8 @@ from .model import (
     predict,
     sample_dropout_mask,
 )
-from .optim import AdamConfig, AdamState, adam_update, flat_directions
-from .params import ModelConfig, ParamSet
+from .optim import AdamConfig, AdamState, adam_update
+from .params import ModelConfig, ParamSet, _check_model_fields
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class TrainConfig:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        self.adam()  # refuses a bad optimizer field here, before any data is read
+        _check_model_fields(self.hidden_dim, self.steps, self.dropout)
+        self.adam()  # a bad model or optimizer field is refused here, before any data is read
 
     @property
     def uses_domain(self) -> bool:
@@ -314,9 +315,9 @@ def _train_group(
         kl_sum, l1_sum, dom_sum = (np.zeros(k) for _ in range(3))
         beta = 0.0
         # A non-finite feature makes the forward and the backward meet
-        # inf - inf; the loss check reports it, or the finite check of
-        # flat_directions when the activations it poisons still leave the
-        # loss finite. One errstate serves the epoch's steps.
+        # inf - inf; the loss check reports it, or adam_update's finite
+        # check of the directions when the activations it poisons still
+        # leave the loss finite. One errstate serves the epoch's steps.
         with np.errstate(invalid="ignore"):
             for b in range(batches_per_epoch):
                 rows = slice(b * cfg.batch_size, (b + 1) * cfg.batch_size)
@@ -351,7 +352,7 @@ def _train_group(
                 directions = step_directions(
                     model_cfg, stacked, trace, batch_targets, cfg.alpha, domain, beta
                 )
-                adam_update(state, stacked, flat_directions(stacked, directions, prefixes), prefixes)
+                adam_update(state, stacked, directions.flat, prefixes)
                 kl_sum += kl
                 l1_sum += l1
                 dom_sum += dom

@@ -91,21 +91,8 @@ def test_body_is_the_parameter_vector(tmp_path, domain_head):
     assert np.array_equal(back.flat, ck.params.flat) and back.flat.flags.writeable
     for name, t in back.tensors().items():
         assert t.base is back.flat, name
-    back.flat += 1.0
+    back.flat[...] += 1.0
     assert np.array_equal(back.w_feat, ck.params.w_feat + 1.0)
-
-
-def test_a_rebound_field_is_saved_as_rebound(tmp_path):
-    # a field rebound after construction no longer views params.flat; the
-    # file carries the fields the shape check saw, not the stale vector
-    params = sample_ckpt().params
-    params.w_feat = params.w_feat * 2.0
-    params.w_dom = None
-    path = tmp_path / "r.ckpt"
-    save_checkpoint(path, Checkpoint(cfg=CFG, params=params))
-    back = load_checkpoint(path).params
-    assert np.array_equal(back.w_feat, params.w_feat)
-    assert back.w_dom is None
 
 
 def test_missing_file(tmp_path):

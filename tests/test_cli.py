@@ -262,6 +262,16 @@ def test_bad_optimizer_field_is_reported_before_the_bundle_is_read(tmp_path, cap
     assert err.startswith(f"error: {field} must be") and "manifest" not in err
 
 
+@pytest.mark.parametrize("field,value", [("dropout", 1.0), ("hidden_dim", 0), ("steps", 0)])
+def test_bad_model_field_is_reported_before_the_bundle_is_read(tmp_path, capsys, field, value):
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**TRAIN_DOC, field: value}))
+    assert main(["train", "--data", str(tmp_path / "nope"), "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be") and "manifest" not in err
+
+
 def test_train_missing_bundle(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope"), "--protocol", "loso",
                  "--out", str(tmp_path / "x")]) == EXIT_INVALID

@@ -210,6 +210,24 @@ def test_band_names_must_be_a_list_of_strings(names):
                        ds.label_scheme)
 
 
+def test_repeated_band_names_are_refused(tmp_path):
+    # a repeated name once loaded, and band_select then took its first band
+    ds = synthesize(BASE)
+    names = list(ds.band_names)
+    names[3] = names[1]
+    match = f"band {names[1]!r} is named more than once"
+    with pytest.raises(ConfigError, match=match):
+        FeatureDataset(ds.features, ds.labels, ds.subject_ids, ds.trial_ids, names,
+                       ds.label_scheme)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    man = json.loads((out / "manifest.json").read_text())
+    man["band_names"] = names
+    (out / "manifest.json").write_text(json.dumps(man))
+    with pytest.raises(CorruptBundleError, match=match):
+        load_dataset(out)
+
+
 def test_conflicting_labels_name_the_first_offending_row():
     # rows 0..3: subject 4 trial 1 (labels 0, 0, 2, 1), then subject 2 trial 0
     subject_ids = [4, 4, 2, 4, 4]

@@ -36,7 +36,7 @@ from eegraph.losses import (
     scheme_classes,
 )
 from eegraph.model import domain_forward, forward, init_params, sample_dropout_mask
-from eegraph.params import GradientSet, ModelConfig
+from eegraph.params import GradientSet, ModelConfig, ParamSet
 
 CFG = ModelConfig(n_channels=5, in_dim=3, hidden_dim=4, n_classes=3, steps=2)
 
@@ -392,10 +392,10 @@ def test_step_directions_need_a_domain_head():
     params, x = build(14, domain_head=True)
     tr = forward(CFG, params, x, target=x)
     dom = domain_forward(params, tr)
-    params.w_dom = None
+    no_dom = ParamSet(params.adj, params.w_feat, params.w_class)  # the same set, no w_dom
     targets = convert_labels(np.array([0, 1, 2]), "seed3", 0.0)
     with pytest.raises(ConfigError):
-        step_directions(CFG, params, tr, targets, 0.0, dom, 0.5)
+        step_directions(CFG, no_dom, tr, targets, 0.0, dom, 0.5)
 
 
 def test_l1_subgradient_values():

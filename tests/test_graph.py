@@ -214,7 +214,7 @@ def test_upper_gradient_matches_finite_difference_of_full_view():
 @pytest.mark.parametrize("n", [1, 4, 62])
 def test_diagonal_reads_packed_entries(n):
     adj = SymmetricAdjacency.from_full(random_symmetric(np.random.default_rng(n), n))
-    adj.upper *= np.random.default_rng(n + 1).uniform(0.5, 2.0, size=adj.upper.shape)
+    adj.upper[...] *= np.random.default_rng(n + 1).uniform(0.5, 2.0, size=adj.upper.shape)
     assert np.array_equal(adj.diagonal(), adj.full().diagonal())
 
 

@@ -129,13 +129,6 @@ def test_forward_trace_shapes():
     assert tr.probs.shape == (7, 3)
 
 
-def test_forward_promotes_single_sample():
-    p = make_params()
-    x = np.random.default_rng(2).normal(size=(6, 4))
-    tr = forward(CFG, p, x)
-    assert tr.relu_z.shape == (1, 6, 5)
-
-
 def test_forward_rejects_wrong_channel_count():
     p = make_params()
     with pytest.raises(ConfigError):
@@ -420,13 +413,16 @@ def test_chunked_predict_matches_one_forward(shape, chunks, extra, f32):
 
 
 @pytest.mark.parametrize("shape", sorted(CHUNK_SHAPES))
-def test_chunked_predict_single_sample(shape):
+def test_features_of_another_rank_are_refused(shape):
+    # only (rows, channels, bands) stacks are taken: a lone (channels, bands)
+    # sample, a flat vector or an extra axis is refused, not promoted
     cfg = CHUNK_SHAPES[shape]
     p = make_params(seed=3, cfg=cfg)
-    x = np.random.default_rng(8).normal(size=(cfg.n_channels, cfg.in_dim)).astype(np.float32)
-    probs = predict_proba(cfg, p, x)
-    assert np.array_equal(probs, forward(cfg, p, x[None]).probs)
-    assert np.array_equal(predict(cfg, p, x), probs.argmax(axis=1))
+    x = np.random.default_rng(8).normal(size=(2, cfg.n_channels, cfg.in_dim))
+    for bad in (x[0], x[0, 0], x[None]):
+        for fn in (forward, predict_proba, predict):
+            with pytest.raises(ConfigError, match="do not match"):
+                fn(cfg, p, bad)
 
 
 @pytest.mark.parametrize("f32", [False, True], ids=["f64", "f32"])

@@ -9,7 +9,7 @@ from eegraph.errors import ConfigError, DivergenceError
 from eegraph.gradients import l1_subgradient
 from eegraph.graph import SymmetricAdjacency
 from eegraph.model import init_params
-from eegraph.optim import AdamConfig, AdamState, adam_update, flat_directions
+from eegraph.optim import AdamConfig, AdamState, adam_update
 from eegraph.params import TENSOR_ORDER, GradientSet, ModelConfig, ParamSet
 
 CFG = ModelConfig(n_channels=4, in_dim=3, hidden_dim=3, n_classes=2, steps=1)
@@ -46,8 +46,8 @@ def grad_like(params, fill=0.0, rng=None):
 
 
 def one_step(state, params, directions):
-    """The one-model Adam step: the directions laid out flat, then one update."""
-    adam_update(state, params, flat_directions(params, directions))
+    """The one-model Adam step along the directions' vector."""
+    adam_update(state, params, directions.flat)
 
 
 def test_config_validation():
@@ -200,8 +200,7 @@ def test_second_moment_overflow_raises_before_any_mutation():
     dirs[2].w_feat[1, 1] = 1e160
     dirs[2].w_class[0, 0] = -1e160
     with pytest.raises(DivergenceError, match="^c: Adam's second moment overflows .*'w_feat'$"):
-        adam_update(state, stacked, flat_directions(stacked, stacked_directions(dirs)),
-                    ["a: ", "b: ", "c: "])
+        adam_update(state, stacked, stacked_directions(dirs).flat, ["a: ", "b: ", "c: "])
     assert state.t == 0 and not state.m.any() and not state.v.any()
     assert np.array_equal(stacked.flat, before)
 
@@ -209,8 +208,7 @@ def test_second_moment_overflow_raises_before_any_mutation():
 def test_missing_direction_rejected():
     params = fresh(11, domain_head=True)
     state = AdamState.for_params(params)
-    d = zero_directions(params)
-    d.w_dom = None
+    d = zero_directions(fresh(11, domain_head=False))  # no w_dom direction
     with pytest.raises(ConfigError):
         one_step(state, params, d)
 
@@ -239,7 +237,7 @@ def test_tensors_are_views_into_one_vector(tmp_path):
         for b in group[i + 1 :]:
             assert not np.shares_memory(a.flat, b.flat)
     # moving the vector moves every field, and the caller's adjacency stays put
-    made.flat += 1.0
+    made.flat[...] += 1.0
     assert np.array_equal(made.adj.upper, adj.upper + 1.0)
     assert np.array_equal(adj.upper, SymmetricAdjacency.from_full(np.eye(4)).upper)
 
@@ -261,8 +259,6 @@ def test_directions_are_views_of_one_vector_laid_out_like_the_parameters(domain_
     for name, t in directions.tensors().items():
         assert t.shape == params.tensors()[name].shape
         assert np.array_equal(params.views_of(directions.flat)[name], t)
-    # the checked directions are the vector itself, not a copy of it
-    assert flat_directions(params, directions) is directions.flat
 
 
 def test_direction_construction_copies_its_tensors():
@@ -275,13 +271,57 @@ def test_direction_construction_copies_its_tensors():
 
 
 def test_directions_not_laid_out_like_the_parameters_rejected():
-    params = fresh(53)
-    rebound = grad_like(params)
-    rebound.w_class = np.zeros_like(params.w_class)  # no longer a view of `flat`
+    # directions with a w_dom part for a set without a domain head
     no_dom = fresh(53, domain_head=False)
-    for p, d in ((params, rebound), (no_dom, grad_like(params))):
-        with pytest.raises(ConfigError, match="not laid out like it"):
-            flat_directions(p, d)
+    state = AdamState.for_params(no_dom)
+    with pytest.raises(ConfigError, match="not laid out like the parameters"):
+        one_step(state, no_dom, grad_like(fresh(53)))
+
+
+@pytest.mark.parametrize("cls,field", [
+    *[(ParamSet, name) for name in ("flat", *TENSOR_ORDER)],
+    *[(GradientSet, name) for name in ("flat", *TENSOR_ORDER)],
+    (SymmetricAdjacency, "n"), (SymmetricAdjacency, "upper"),
+])
+def test_no_field_is_ever_rebound(cls, field):
+    # a set's fields view its vector for good: rebinding one is refused,
+    # while in-place writes still reach the vector
+    params = fresh(54)
+    directions = grad_like(params)
+    obj, packed, vector = {
+        ParamSet: (params, params.adj.upper, params.flat),
+        GradientSet: (directions, directions.adj, directions.flat),
+        SymmetricAdjacency: (params.adj, params.adj.upper, params.flat),
+    }[cls]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+    packed[0] = 7.0
+    assert vector[0] == 7.0
+
+
+@pytest.mark.parametrize("bad", ["no_domain_direction", "one_model", "nan", "inf"])
+def test_adam_refuses_bad_directions_before_writing_anything(bad):
+    # a domain-head group stepped without a domain trace, one model's
+    # directions for a group of three, and a non-finite entry of model "b: "
+    stacked = stack([fresh(60 + i) for i in range(3)])
+    before = stacked.flat.copy()
+    state = AdamState.for_params(stacked)
+    dirs = [grad_like(fresh(60 + i), fill=1.0) for i in range(3)]
+    if bad == "no_domain_direction":
+        g = stacked_directions([grad_like(fresh(60 + i, domain_head=False)) for i in range(3)]).flat
+        error, match = ConfigError, "not laid out like the parameters"
+    elif bad == "one_model":
+        g = dirs[0].flat
+        error, match = ConfigError, "not laid out like the parameters"
+    else:
+        dirs[1].w_class[1, 0] = float(bad)
+        dirs[2].adj[0] = np.nan  # a later model
+        g = stacked_directions(dirs).flat
+        error, match = DivergenceError, "^b: non-finite update direction for tensor 'w_class'$"
+    with pytest.raises(error, match=match):
+        adam_update(state, stacked, g, ["a: ", "b: ", "c: "])
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    assert np.array_equal(stacked.flat, before)
 
 
 def reference_adam_step(cfg, t, m, v, tensors, dirs):
@@ -348,7 +388,7 @@ def test_group_update_rows_match_one_model_steps_bitwise(k, weight_decay, domain
         dirs = [grad_like(p, rng=rng) for p in singles]
         for d in dirs:
             d.w_feat[0, 0] = 0.0  # never touched: 0/0 when eps is 0
-        g = flat_directions(stacked, stacked_directions(dirs))
+        g = stacked_directions(dirs).flat
         assert g.shape == stacked.flat.shape
         adam_update(state, stacked, g)
         for i, (p, s, d) in enumerate(zip(singles, single_states, dirs)):
@@ -366,7 +406,6 @@ def test_group_check_names_the_first_bad_model_and_its_first_bad_tensor():
     dirs[2].adj[0] = np.nan        # a later model
     state = AdamState.for_params(stacked)
     with pytest.raises(DivergenceError, match="^fold 1: .*'w_class'$"):
-        adam_update(state, stacked, flat_directions(
-            stacked, stacked_directions(dirs), ["fold 0: ", "fold 1: ", "fold 2: "]
-        ))
+        adam_update(state, stacked, stacked_directions(dirs).flat,
+                    ["fold 0: ", "fold 1: ", "fold 2: "])
     assert state.t == 0 and np.array_equal(stacked.flat, before)

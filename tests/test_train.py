@@ -2,6 +2,7 @@
 import collections
 import dataclasses
 import importlib
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,6 +13,7 @@ from eegraph.data import SynthConfig, split_loso, synthesize
 from eegraph.electrodes import DELTA_DEFAULT, ring_layout
 from eegraph.errors import ConfigError, DivergenceError
 from eegraph.losses import grl_beta
+from eegraph.params import ModelConfig
 from eegraph.train import (
     TrainConfig,
     default_layout_for,
@@ -48,6 +50,17 @@ def test_config_validation():
                                          ("adam_eps", -1.0), ("weight_decay", -0.1)])
 def test_config_refuses_a_bad_optimizer_field_when_built(field, value):
     with pytest.raises(ConfigError):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [("hidden_dim", 0), ("steps", 0), ("dropout", 1.0),
+                                         ("dropout", -0.1)])
+def test_config_refuses_a_bad_model_field_when_built(field, value):
+    # the model config's own check and message, before any data is read
+    with pytest.raises(ConfigError) as exc:
+        ModelConfig(**{"n_channels": 4, "in_dim": 5, "hidden_dim": 8, "n_classes": 3,
+                       field: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(exc.value))}$"):
         TrainConfig(**{field: value})
 
 
