@@ -3,7 +3,9 @@
 Layout (version 3): header JSON + newline, then `params.flat` as
 little-endian float64, its tensors in `TENSOR_ORDER` (the packed
 adjacency triangle, w_feat, w_class, and w_dom when the header says
-there is a domain head). The body carries no sizes: the header's model
+there is a domain head). The header's "model" block is `ModelConfig`'s
+fields, and a reader checks each against that field's annotation
+(`errors.json_fits`). The body carries no sizes: the header's model
 config and `has_domain_head` state every tensor's shape, and a body of
 any other length is refused; a copy of the body is cut into tensors by
 `ParamSet.from_flat`. A checkpoint holds the trained parameters only, no
@@ -12,21 +14,20 @@ states produce byte-identical files.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorruptBundleError
+from .errors import ConfigError, CorruptBundleError, json_fits, json_misfit
 from .params import ModelConfig, ParamSet, _layout
 
 FORMAT_NAME = "eegraph-checkpoint"
 FORMAT_VERSION = 3
-# JSON types of the model header fields, taken as written: a bool is not
-# a number, and a float or a string is not a count
-_HEADER_TYPES = {name: int for name in ("n_channels", "in_dim", "hidden_dim", "n_classes", "steps")}
-_HEADER_TYPES["dropout"] = (int, float)
+_MODEL_HINTS = typing.get_type_hints(ModelConfig)
 
 
 def _strings(value) -> bool:
@@ -68,14 +69,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "model": {
-            "n_channels": cfg.n_channels,
-            "in_dim": cfg.in_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "n_classes": cfg.n_classes,
-            "steps": cfg.steps,
-            "dropout": cfg.dropout,
-        },
+        "model": dataclasses.asdict(cfg),
         "has_domain_head": params.w_dom is not None,
         "channel_names": ckpt.channel_names,
         "global_pairs": ckpt.global_pairs,
@@ -96,24 +90,21 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[:nl].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptBundleError(f"{p}: bad header ({exc})") from None
-    if not isinstance(header, dict):
+    if not json_fits(header, dict):
         raise CorruptBundleError(f"{p}: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise CorruptBundleError(f"{p}: not a checkpoint file")
     if header.get("version") != FORMAT_VERSION:
         raise CorruptBundleError(f"{p}: unsupported version {header.get('version')!r}")
     try:
-        m = header["model"]
-        fields = {name: m[name] for name in _HEADER_TYPES}
+        fields = {name: header["model"][name] for name in _MODEL_HINTS}
         has_dom = header["has_domain_head"]
     except (KeyError, TypeError) as exc:
         raise CorruptBundleError(f"{p}: bad model header ({exc!r})") from None
-    wrong = [name for name, kind in _HEADER_TYPES.items()
-             if isinstance(fields[name], bool) or not isinstance(fields[name], kind)]
-    if not isinstance(has_dom, bool):
-        wrong.append("has_domain_head")
-    if wrong:
-        raise CorruptBundleError(f"{p}: bad model header ({wrong[0]} has the wrong JSON type)")
+    misfit = json_misfit({**fields, "has_domain_head": has_dom},
+                         _MODEL_HINTS | {"has_domain_head": bool})
+    if misfit:
+        raise CorruptBundleError(f"{p}: bad model header ({misfit})")
     try:
         cfg = ModelConfig(**fields)
     except ConfigError as exc:

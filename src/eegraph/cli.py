@@ -8,9 +8,7 @@ runtime or numeric failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
 import typing
 from pathlib import Path
@@ -23,6 +21,8 @@ from .errors import (
     DivergenceError,
     IsolatedNodeError,
     LayoutError,
+    json_fits,
+    json_misfit,
 )
 from .eval import PROTOCOLS, activation_map, config_echo, run_protocol, top_k_connections
 from .gradients import model_grad_check
@@ -46,8 +46,9 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _load_config_file(path, allowed: set[str], required: set[str] = frozenset()) -> dict:
-    """Read a JSON config document and check its key set."""
+def _load_config_file(path, hints: dict, required: set[str] = frozenset()) -> dict:
+    """Read a JSON config document; check its keys and each value's JSON
+    type against `hints`, field name -> annotation."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
@@ -55,56 +56,27 @@ def _load_config_file(path, allowed: set[str], required: set[str] = frozenset())
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
-    if not isinstance(doc, dict):
+    if not json_fits(doc, dict):
         raise ConfigError(f"{p}: config must be a JSON object")
-    unknown = sorted(set(doc) - allowed)
+    unknown = sorted(set(doc) - set(hints))
     if unknown:
         raise ConfigError(f"{p}: unknown config key {unknown[0]!r}")
     missing = sorted(required - set(doc))
     if missing:
         raise ConfigError(f"{p}: missing required field {missing[0]!r}")
+    misfit = json_misfit(doc, hints)
+    if misfit:
+        raise ConfigError(f"config field {misfit}")
     return doc
 
 
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SynthConfig)}
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} | {
-    "protocol",
-    "train_trials",
-    "bands",
-}
-
-
-_KINDS = {bool: "a bool", int: "an integer", float: "a finite number", str: "a string",
-          type(None): "null"}
-
-
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits one annotated type. A bool is never a
-    number, an int also fits a float field, and a float must be finite."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    if kind is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, kind)
-
-
-def _check_types(doc: dict, hints: dict) -> None:
-    """Reject a config value whose JSON type does not fit its field's annotation."""
-    for name, value in doc.items():
-        kinds = typing.get_args(hints[name]) or (hints[name],)
-        if not any(_fits(value, kind) for kind in kinds):
-            want = " or ".join(_KINDS[kind] for kind in kinds)
-            raise ConfigError(f"config field {name!r} must be {want}, got {value!r}")
-
-
-def _build_dataclass(cls, doc: dict):
-    _check_types(doc, typing.get_type_hints(cls))
-    return cls(**doc)
+# a train config's keys beside TrainConfig's fields, in the order cmd_train unpacks them
+_RUN_HINTS = {"protocol": str | None, "train_trials": int | None, "bands": list[str] | None}
 
 
 def cmd_synth(args) -> int:
-    doc = _load_config_file(args.config, _SYNTH_KEYS, required={"seed"})
-    ds = synthesize(_build_dataclass(SynthConfig, doc))
+    doc = _load_config_file(args.config, typing.get_type_hints(SynthConfig), required={"seed"})
+    ds = synthesize(SynthConfig(**doc))
     save_dataset(ds, args.out)
     print(_dump_json({
         "out": str(args.out),
@@ -118,25 +90,19 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_config_file(args.config, _TRAIN_KEYS) if args.config else {}
-    protocol = args.protocol or doc.pop("protocol", None)
+    hints = typing.get_type_hints(TrainConfig) | _RUN_HINTS
+    doc = _load_config_file(args.config, hints) if args.config else {}
+    protocol, train_trials, bands = (doc.pop(name, None) for name in _RUN_HINTS)
+    protocol = args.protocol or protocol
     if protocol is None:
         raise ConfigError(f"no protocol given; choose from {PROTOCOLS}")
     if protocol not in PROTOCOLS:
         raise ConfigError(f"unknown protocol {protocol!r}; choose from {PROTOCOLS}")
-    train_trials = doc.pop("train_trials", None)
-    _check_types({"train_trials": train_trials}, {"train_trials": int | None})
-    bands = doc.pop("bands", None)
-    if bands is not None and not (
-        isinstance(bands, list) and all(isinstance(b, str) for b in bands)
-    ):
-        raise ConfigError(f"config field 'bands' must be a list of strings, got {bands!r}")
-    doc.pop("protocol", None)
     if args.bands:
         bands = [b.strip() for b in args.bands.split(",") if b.strip()]
     if args.seed is not None:
         doc["seed"] = args.seed
-    cfg = _build_dataclass(TrainConfig, doc)
+    cfg = TrainConfig(**doc)
 
     ds = load_dataset(args.data)
     if bands:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorruptBundleError
+from .errors import ConfigError, CorruptBundleError, json_misfit
 from .losses import allowed_flips, scheme_classes
 
 DEFAULT_BANDS = ("delta", "theta", "alpha", "beta", "gamma")
@@ -29,7 +29,10 @@ DEFAULT_BANDS = ("delta", "theta", "alpha", "beta", "gamma")
 MANIFEST_NAME = "manifest.json"
 FEATURES_NAME = "features.f32"
 LABELS_NAME = "labels.i64"
-MANIFEST_COUNTS = ("n_samples", "n_channels", "n_bands", "n_classes")
+# every manifest field, in the order written, and its JSON type
+MANIFEST_TYPES = {"n_samples": int, "n_channels": int, "n_bands": int, "n_classes": int,
+                  "band_names": list[str], "label_scheme": str | int,
+                  "subject_ids": list[int], "trial_ids": list[int]}
 SAVE_BLOCK_ELEMENTS = 1 << 16  # feature values converted and written per block
 
 
@@ -37,6 +40,10 @@ def _band_names_for(d: int) -> list[str]:
     if d == len(DEFAULT_BANDS):
         return list(DEFAULT_BANDS)
     return [f"band{i}" for i in range(d)]
+
+
+class _NonFiniteFeature(ConfigError):
+    """A NaN or infinite feature value; `load_dataset` reports it against the features file."""
 
 
 @dataclass
@@ -73,6 +80,16 @@ class FeatureDataset:
         repeated = [name for i, name in enumerate(self.band_names) if name in self.band_names[:i]]
         if repeated:
             raise ConfigError(f"band {repeated[0]!r} is named more than once")
+        # NaN or inf would stop training as a divergence or score as class 0. The
+        # sum needs no mask; one that overflowed from finite values costs the scan
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(self.features.sum())
+        if not finite:
+            bad = np.argwhere(~np.isfinite(self.features))
+            if bad.size:
+                row, channel, band = bad[0]
+                raise _NonFiniteFeature(f"feature at row {row}, channel {channel}, band "
+                                        f"{self.band_names[band]!r} is {self.features[row, channel, band]}")
         c = self.n_classes
         if n and (self.labels.min() < 0 or self.labels.max() >= c):
             raise ConfigError(f"labels must lie in [0, {c}), got range "
@@ -125,16 +142,8 @@ def save_dataset(ds: FeatureDataset, path) -> None:
     """Write a dataset bundle directory: manifest plus two raw blobs."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "n_samples": ds.n_samples,
-        "n_channels": ds.n_channels,
-        "n_bands": ds.n_bands,
-        "n_classes": ds.n_classes,
-        "band_names": list(ds.band_names),
-        "label_scheme": ds.label_scheme,
-        "subject_ids": ds.subject_ids.tolist(),
-        "trial_ids": ds.trial_ids.tolist(),
-    }
+    manifest = {name: getattr(ds, name) for name in MANIFEST_TYPES}  # in the schema's order
+    manifest["subject_ids"], manifest["trial_ids"] = ds.subject_ids.tolist(), ds.trial_ids.tolist()
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1) + "\n")
     # the features go out in row blocks, each converted on its own, so no
     # float32 copy of the whole array is ever held
@@ -155,31 +164,20 @@ def load_dataset(path) -> FeatureDataset:
         manifest = json.loads(mpath.read_text())
     except json.JSONDecodeError as exc:
         raise CorruptBundleError(f"{mpath}: invalid JSON ({exc})") from None
-    # each list field's JSON element type, taken as written: a bool, a float
-    # or a numeric string is not an id, and a string is not a list of names
-    list_types = {"band_names": (str, "strings"), "subject_ids": (int, "integers"),
-                  "trial_ids": (int, "integers")}
     try:
-        counts = [manifest[name] for name in MANIFEST_COUNTS]
-        lists = {name: manifest[name] for name in list_types}
-        scheme = manifest["label_scheme"]
+        fields = {name: manifest[name] for name in MANIFEST_TYPES}
     except (KeyError, TypeError) as exc:
         raise CorruptBundleError(f"{mpath}: bad manifest field ({exc})") from None
-    for name, value in zip(MANIFEST_COUNTS, counts):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CorruptBundleError(f"{mpath}: {name} must be a JSON integer, got {value!r}")
-    for name, (kind, word) in list_types.items():
-        # one pass over the list, by exact type, so a bool is not an int
-        if not isinstance(lists[name], list) or not set(map(type, lists[name])) <= {kind}:
-            raise CorruptBundleError(f"{mpath}: {name} must be a list of JSON {word}")
+    misfit = json_misfit(fields, MANIFEST_TYPES)
+    if misfit:
+        raise CorruptBundleError(f"{mpath}: {misfit}")
     try:
-        subject_ids = np.array(lists["subject_ids"], dtype=np.int64)
-        trial_ids = np.array(lists["trial_ids"], dtype=np.int64)
+        subject_ids = np.array(fields["subject_ids"], dtype=np.int64)
+        trial_ids = np.array(fields["trial_ids"], dtype=np.int64)
     except OverflowError as exc:
         raise CorruptBundleError(f"{mpath}: bad manifest field ({exc})") from None
-    n, channels, bands, c = counts
-    if isinstance(scheme, bool) or not isinstance(scheme, (str, int)):
-        raise CorruptBundleError(f"{mpath}: label_scheme must be a name or class count")
+    n, channels = fields["n_samples"], fields["n_channels"]
+    bands, c, scheme = fields["n_bands"], fields["n_classes"], fields["label_scheme"]
     try:
         implied = scheme_classes(scheme)
     except ConfigError as exc:
@@ -213,9 +211,11 @@ def load_dataset(path) -> FeatureDataset:
             labels=labels,
             subject_ids=subject_ids,
             trial_ids=trial_ids,
-            band_names=lists["band_names"],
+            band_names=fields["band_names"],
             label_scheme=scheme,
         )
+    except _NonFiniteFeature as exc:
+        raise CorruptBundleError(f"{fpath}: {exc}") from None
     except ConfigError as exc:
         raise CorruptBundleError(f"{root}: {exc}") from None
 

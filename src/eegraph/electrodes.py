@@ -61,15 +61,21 @@ def pairwise_distances(positions: np.ndarray) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=-1))
 
 
+def _records(lines, source: str, form: str):
+    """(line number, fields, line) of each record of an asset file: '#' comments
+    stripped and blank lines skipped; a record must have as many fields as `form`."""
+    for lineno, raw in enumerate(lines, 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != len(form.split()):
+            raise ConfigError(f"{source}:{lineno}: expected {form!r}, got {raw.rstrip()!r}")
+        yield lineno, parts, raw
+
+
 def _parse_layout_lines(lines, source: str) -> ElectrodeLayout:
     names, rows = [], []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ConfigError(f"{source}:{lineno}: expected 'NAME x y z', got {raw.rstrip()!r}")
+    for lineno, parts, raw in _records(lines, source, "NAME x y z"):
         try:
             rows.append([float(v) for v in parts[1:]])
         except ValueError:
@@ -120,16 +126,7 @@ class GlobalPairSet:
 
 
 def _parse_pairs(lines, source: str) -> GlobalPairSet:
-    pairs = []
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ConfigError(f"{source}:{lineno}: expected 'NAME NAME', got {raw.rstrip()!r}")
-        pairs.append((parts[0], parts[1]))
-    return GlobalPairSet(pairs)
+    return GlobalPairSet([(a, b) for _, (a, b), _ in _records(lines, source, "NAME NAME")])
 
 
 def load_global_pairs(path) -> GlobalPairSet:

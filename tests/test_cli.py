@@ -242,6 +242,15 @@ def test_mistyped_config_value_is_a_validation_error(bundle, tmp_path, capsys, c
     assert err.startswith("error:") and field in err
 
 
+def test_float_field_refuses_an_integer_no_float_holds(bundle, tmp_path, capsys):
+    # such an integer once passed the check and failed in training with a traceback
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**TRAIN_DOC, "lr": 10**400}))
+    assert main(["train", "--data", str(bundle), "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == EXIT_INVALID
+    assert capsys.readouterr().err == "error: config field lr must be a finite JSON number\n"
+
+
 def test_float_fields_accept_integers(bundle, tmp_path, capsys):
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps({**TRAIN_DOC, "epochs": 1, "lr": 1, "epsilon": 0}))
@@ -279,13 +288,26 @@ def test_train_missing_bundle(tmp_path, capsys):
 
 
 def test_train_divergence_exit_code(bundle, tmp_path, capsys):
-    # poison the stored features with a nan and keep sizes valid
+    # an L1 weight whose subgradient squares past float64 overflows Adam's
+    # second moment on the first step: a numeric failure, not an input error
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({**TRAIN_DOC, "alpha": 1e200}))
+    assert main(["train", "--data", str(bundle), "--config", str(cfg),
+                 "--out", str(tmp_path / "x")]) == EXIT_RUNTIME
+    assert "fold 0: Adam's second moment overflows" in capsys.readouterr().err
+
+
+def test_train_refuses_a_non_finite_feature_before_training(bundle, tmp_path, capsys):
+    # one NaN once stopped the run as a divergence naming a fold and a batch
     blob = bytearray((bundle / "features.f32").read_bytes())
-    blob[0:4] = struct.pack("<f", float("nan"))
+    blob[4 * 7 : 4 * 8] = struct.pack("<f", float("nan"))  # row 0, channel 2, band 1
     (bundle / "features.f32").write_bytes(bytes(blob))
     assert main(["train", "--data", str(bundle), "--protocol", "loso",
-                 "--out", str(tmp_path / "x")]) == EXIT_RUNTIME
-    assert "error" in capsys.readouterr().err
+                 "--out", str(tmp_path / "x")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith(
+        "features.f32: feature at row 0, channel 2, band 'band1' is nan")
+    assert not (tmp_path / "x").exists()  # nothing trained, nothing written
 
 
 def test_inspect_reports_structure(bundle, tmp_path, capsys):

@@ -228,6 +228,34 @@ def test_repeated_band_names_are_refused(tmp_path):
         load_dataset(out)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_features_are_refused(tmp_path, value):
+    # the last row is held out in the last LOSO fold; with inf it was once
+    # scored silently as class 0, and with NaN in training rows it diverged
+    ds = synthesize(BASE)
+    row = ds.n_samples - 1
+    features = ds.features.copy()
+    features[row, 2, 4] = value
+    message = f"feature at row {row}, channel 2, band 'gamma' is {value}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        FeatureDataset(features, ds.labels, ds.subject_ids, ds.trial_ids, ds.band_names,
+                       ds.label_scheme)
+    out = tmp_path / "bundle"
+    save_dataset(ds, out)
+    stored = np.fromfile(out / "features.f32", dtype="<f4").reshape(ds.features.shape)
+    stored[row, 2, 4] = value
+    stored.tofile(out / "features.f32")
+    with pytest.raises(CorruptBundleError, match=f"bundle/features.f32: {message}$"):
+        load_dataset(out)
+
+
+def test_finite_values_whose_sum_overflows_are_accepted():
+    # the check sums first; an overflowed sum of finite values is not a refusal
+    ds = synthesize(BASE)
+    big = np.full_like(ds.features, np.finfo(np.float64).max)
+    FeatureDataset(big, ds.labels, ds.subject_ids, ds.trial_ids, ds.band_names, ds.label_scheme)
+
+
 def test_conflicting_labels_name_the_first_offending_row():
     # rows 0..3: subject 4 trial 1 (labels 0, 0, 2, 1), then subject 2 trial 0
     subject_ids = [4, 4, 2, 4, 4]
